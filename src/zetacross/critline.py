@@ -12,6 +12,7 @@ factor later eliminated by cross-multiplying two instances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -185,7 +186,9 @@ def _mean_crossing(fn: Callable[[float], float], seg: Segment, mean: float,
 
     Scans a uniform grid (optionally phase-shifted for degeneracy
     retries), doubling up to 3 times, then bisects inside the first
-    sign-change cell.
+    sign-change cell. The grid points depend only on seg, cells and
+    offset, so in build_mother_instance the three weights' scans visit
+    the same t values and share one Z^2 evaluation at each.
     """
     scale = max(abs(mean), 1e-300)
 
@@ -221,12 +224,15 @@ def _mean_crossing(fn: Callable[[float], float], seg: Segment, mean: float,
     return seg.midpoint, True
 
 
-def weighted_integrand(l: int, model: LadderModel) -> Callable[[float], float]:
-    """G_l(t) = Z(t)^2 f_l(phi1(t))."""
+def weighted_integrand(l: int, model: LadderModel,
+                       z_sq: Callable[[float], float] | None = None
+                       ) -> Callable[[float], float]:
+    """G_l(t) = Z(t)^2 f_l(phi1(t)), with Z^2 from z_sq (zeta_mod_sq if None)."""
     f_l = weight_fn(l)
+    z_sq = z_sq or zeta_mod_sq
 
     def g(t: float) -> float:
-        return zeta_mod_sq(t) * f_l(model.value(t))
+        return z_sq(t) * f_l(model.value(t))
 
     return g
 
@@ -241,7 +247,9 @@ def weighted_mean(l: int, lifted: Segment, model: LadderModel,
 def mean_value_abscissa(l: int, lifted: Segment, model: LadderModel,
                         rel_tol: float = 1e-11, cells: int = 1024,
                         grid_offset: float = 0.0,
-                        mean: float | None = None) -> tuple[float, bool]:
+                        mean: float | None = None, *,
+                        z_sq: Callable[[float], float] | None = None
+                        ) -> tuple[float, bool]:
     """Point alpha1 in lifted where Z^2 f_l(phi1) equals its average.
 
     Returns (alpha1, flagged); flagged means the integrand was
@@ -249,9 +257,11 @@ def mean_value_abscissa(l: int, lifted: Segment, model: LadderModel,
     point is certified to |G(alpha1) - mean| <= 1e-10 mean; the residual
     floor is the t-axis float spacing times the local slope, so very
     large t would need a looser bound (the desk-scale grid stays an
-    order of magnitude clear of it).
+    order of magnitude clear of it). z_sq, if given, replaces zeta_mod_sq
+    in the crossing search and residual check only, never in the mean's
+    quadrature; it must return zeta_mod_sq's values, e.g. from a memo.
     """
-    g = weighted_integrand(l, model)
+    g = weighted_integrand(l, model, z_sq)
     if mean is None:
         mean = weighted_mean(l, lifted, model, rel_tol)
     alpha1, flagged = _mean_crossing(g, lifted, mean, cells, grid_offset)
@@ -311,6 +321,12 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
     EXACT mode additionally certifies |a1 - a2 + a3| <= 1e-8 max a_l
     (the numerical consequence of f1 - f2 + f3 = 0) and the quadrature
     additivity cross-check on the middle term.
+
+    The crossing phase (three scans, their bisections, the zero check
+    and the placement check) shares one Z evaluation per distinct t
+    across the three weights, through a memo that lives for this call
+    only; the quadratures for the means do not use it. Every value is
+    the one an unshared evaluation would give, bit for bit.
     """
     if mode not in ("EXACT", "ASYMPTOTIC"):
         raise ConfigError(f"mode must be EXACT or ASYMPTOTIC, got {mode!r}")
@@ -324,6 +340,12 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
     means[2] = means[1] + means[3]
     mean2_direct = weighted_mean(2, lifted, model, quad_rel)
     additivity_residual = abs(means[2] - mean2_direct) / max(mean2_direct, 1e-300)
+
+    z = functools.cache(hardy_z)
+
+    def z_sq(t: float) -> float:
+        v = z(t)
+        return v * v
 
     alpha1 = []
     alpha0 = []
@@ -341,12 +363,12 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
             try:
                 a1, flagged = mean_value_abscissa(
                     l, lifted, model, rel_tol=quad_rel,
-                    grid_offset=0.5 * retry / 4.0, mean=target,
+                    grid_offset=0.5 * retry / 4.0, mean=target, z_sq=z_sq,
                 )
             except AccuracyError as err:
                 last_err = err  # steep crossing; a shifted grid finds another
                 continue
-            if abs(hardy_z(a1)) >= 1e-12:
+            if abs(z(a1)) >= 1e-12:
                 break
         else:
             if last_err is not None:
@@ -363,7 +385,7 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
         if gl <= 0.0:
             raise DegeneracyError(f"weight {l} vanished at alpha0 = {a0}")
         cl = math.sqrt(target / gl)
-        direct = weighted_integrand(l, model)(a1)
+        direct = weighted_integrand(l, model, z_sq)(a1)
         alpha1.append(a1)
         alpha0.append(a0)
         c_vals.append(cl)
@@ -399,14 +421,9 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
     return inst
 
 
-def with_model(inst: MotherInstance, model: LadderModel) -> MotherInstance:
-    """Rebuild the instance under a different ladder model."""
-    return build_mother_instance(inst.U, inst.L, model, inst.mode)
-
-
 __all__ = [
     "EULER_GAMMA", "L_MIN", "U_MAX", "Segment", "base_segment",
     "LadderModel", "ladder_phi1", "WeightKind", "weight_fn", "gen1_target",
     "hl_integral", "reverse_iterate", "mean_value_abscissa",
-    "MotherInstance", "build_mother_instance", "with_model",
+    "MotherInstance", "build_mother_instance",
 ]

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -24,13 +24,14 @@ from .critline import (
     build_mother_instance,
 )
 from .equations import (
+    CROSSBREED_PAIRS,
     TRANSMUTATION_IDS,
     MetaEquation,
     TransmutationInstance,
+    crossbreed,
     make_transmutation,
-    second_generation,
 )
-from .errors import ConfigError, ZetacrossError
+from .errors import ConfigError, DomainError, ZetacrossError
 from .levelset import LevelAssignment, build_level_assignments, trace_level_arc
 from .params import DEFAULT_PARAMS, ParameterSet
 
@@ -150,7 +151,10 @@ def parse_config(text: str) -> RunConfig:
     if param_parts:
         if set(param_parts) != {"n", "p", "k"}:
             raise ConfigError("parameter overrides need all of n, p, k")
-        kwargs["params"] = ParameterSet(**param_parts)
+        try:
+            kwargs["params"] = ParameterSet(**param_parts)
+        except DomainError as err:
+            raise ConfigError(f"bad parameter set: {err}") from err
     return RunConfig(**kwargs)
 
 
@@ -240,7 +244,7 @@ def run(config: RunConfig) -> dict:
                 tid: make_transmutation(tid, inst, assign, config.eq_res)
                 for tid in TRANSMUTATION_IDS
             }
-            eqs = second_generation(inst, assign)
+            eqs = [crossbreed(trans[x], trans[y]) for (x, y) in CROSSBREED_PAIRS]
             entry["mother"] = _mother_payload(inst)
             entry["level_points"] = _level_payload(assign)
             entry["transmutations"] = _transmutation_payload(inst, trans)
@@ -434,10 +438,3 @@ def emit_atlas(config: RunConfig, slots: list[tuple[int, int]], out_dir: str | P
 
 def certification_ok(report: dict) -> bool:
     return bool(report["payload"]["certified"])
-
-
-def swap_ladder(config: RunConfig) -> RunConfig:
-    """The other ladder family, for the elimination invariance check."""
-    if config.ladder.kind == "ASYMPTOTIC":
-        return replace(config, ladder=LadderModel("AFFINE", 2.0))
-    return replace(config, ladder=LadderModel("ASYMPTOTIC"))

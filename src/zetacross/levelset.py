@@ -507,9 +507,6 @@ class LevelAssignment:
     def point(self, n: int, l: int) -> LevelPoint:
         return self.points[(n, l)]
 
-    def max_residual(self) -> float:
-        return max(p.residual for p in self.points.values())
-
 
 def build_level_assignments(inst: MotherInstance, params: ParameterSet,
                             res_tol: float = RESIDUAL_TOL) -> LevelAssignment:

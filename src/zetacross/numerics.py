@@ -47,15 +47,6 @@ def neumaier_sum(values: Sequence[float]) -> float:
     return acc.value
 
 
-def neumaier_sum_complex(values: Sequence[complex]) -> complex:
-    re = NeumaierSum()
-    im = NeumaierSum()
-    for v in values:
-        re.add(v.real)
-        im.add(v.imag)
-    return complex(re.value, im.value)
-
-
 # --------------------------------------------------------------------------
 # Bernoulli numbers (exact rational recurrence, cached as floats)
 # --------------------------------------------------------------------------

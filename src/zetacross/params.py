@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .specfun import BesselOrder, EllipticModulus
+from .specfun import EllipticModulus
 
 _MASK64 = (1 << 64) - 1
 
@@ -67,12 +67,6 @@ class ParameterSet:
                 raise DomainError(f"orders must be integers, got {p_i}")
         for k_i in self.k:
             EllipticModulus(k_i)  # validates 0 < k^2 < 1
-
-    def modulus(self, i: int) -> EllipticModulus:
-        return EllipticModulus(self.k[i])
-
-    def order(self, i: int) -> BesselOrder:
-        return BesselOrder(self.p[i])
 
 
 DEFAULT_PARAMS = ParameterSet(

@@ -87,7 +87,9 @@ def rs_theta(t: float) -> float:
 # --------------------------------------------------------------------------
 
 _PSI_TERMS = 120
-_psi_deriv_coeffs: list[np.ndarray] | None = None
+# per derivative order, the Taylor coefficients about 1/2 as Python floats,
+# highest degree first: same IEEE arithmetic as float64, less per-term cost
+_psi_deriv_coeffs: list[list[float]] | None = None
 
 
 def _deflate(a: np.ndarray, r: float) -> np.ndarray:
@@ -155,13 +157,12 @@ def _psi_derivative(k: int, p: float) -> float:
     """k-th derivative of psi at p (0 <= p < 1)."""
     global _psi_deriv_coeffs
     if _psi_deriv_coeffs is None:
-        _psi_deriv_coeffs = _build_psi_tables()
+        _psi_deriv_coeffs = [d[::-1].tolist() for d in _build_psi_tables()]
     u = p - 0.5
-    coeffs = _psi_deriv_coeffs[k]
     acc = 0.0
-    for c in coeffs[::-1]:
+    for c in _psi_deriv_coeffs[k]:
         acc = acc * u + c
-    return float(acc)
+    return acc
 
 
 _PI2 = math.pi * math.pi

@@ -20,6 +20,7 @@ from zetacross.critline import (
     _mean_crossing,
 )
 from zetacross.errors import ConfigError, DomainError
+from zetacross.specfun import zeta
 
 from oracles import simpson_refine_oracle, zeta_mod_sq_oracle
 
@@ -173,6 +174,36 @@ def test_mother_instance_exact_grid():
             # c is |Z(alpha1)| up to the placement tolerance
             assert max(inst.placement_residual) <= 1e-10
             assert inst.additivity_residual <= 1e-10
+
+
+def test_mother_instance_z_calls_shared_across_weights(monkeypatch):
+    # three unshared 1024-cell scans cost ~3,590 Z calls per instance
+    calls = []
+
+    def counting(fn):
+        def wrapped(t):
+            calls.append(t)
+            return fn(t)
+        return wrapped
+
+    for name in ("hardy_z_em", "hardy_z_rs"):
+        monkeypatch.setattr(zeta, name, counting(getattr(zeta, name)))
+    m = LadderModel("ASYMPTOTIC")
+    for L in (20, 100, 500):
+        calls.clear()
+        build_mother_instance(math.pi / 8, L, m, "EXACT")
+        assert len(calls) <= 1600
+
+
+def test_mother_instance_alpha1_matches_unshared_crossing():
+    m = LadderModel("ASYMPTOTIC")
+    for L in (20, 100, 500):
+        inst = build_mother_instance(math.pi / 8, L, m, "EXACT")
+        lifted = reverse_iterate(base_segment(math.pi / 8, L), m)
+        for l in (1, 2, 3):
+            alpha, flagged = mean_value_abscissa(l, lifted, m, mean=inst.a[l - 1])
+            assert not flagged
+            assert alpha == inst.alpha1[l - 1]
 
 
 def test_mother_instance_deterministic():

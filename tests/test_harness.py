@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from zetacross import equations, harness
 from zetacross.cli import main as cli_main
 from zetacross.critline import LadderModel
 from zetacross.errors import ConfigError
@@ -74,6 +75,21 @@ def test_report_payload_reproducible(small_report):
     assert payload_bytes(small_report) == payload_bytes(again)
     # headers may differ (timestamps live there, outside the hashable payload)
     assert small_report["payload"] == again["payload"]
+
+
+def test_run_builds_each_transmutation_once(monkeypatch):
+    calls = []
+    real = equations.make_transmutation
+
+    def counting(tid, *args, **kwargs):
+        calls.append(tid)
+        return real(tid, *args, **kwargs)
+
+    monkeypatch.setattr(equations, "make_transmutation", counting)
+    monkeypatch.setattr(harness, "make_transmutation", counting)
+    report = run(RunConfig(L_list=(20,)))
+    assert report["payload"]["certified"] is True
+    assert calls == list(equations.TRANSMUTATION_IDS)
 
 
 def test_report_json_serializable(small_report, tmp_path):
@@ -156,6 +172,11 @@ def test_cli_verify_and_exit_codes(tmp_path, capsys):
     assert "certified 1/1" in capsys.readouterr().out
     # bad ladder -> config error
     code = cli_main(["verify", "--ladder", "spiral", "--out", str(out)])
+    assert code == 2
+    # out-of-range modulus in a config file -> config error
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n = 1,1,1,1,1,1\np = 0,1,2,0,1,2\nk = 0.5,0.6,0.7,0.5,0.6,1.5\n")
+    code = cli_main(["verify", "--config", str(cfg), "--out", str(out)])
     assert code == 2
 
 

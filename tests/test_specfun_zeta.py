@@ -4,7 +4,12 @@ import pytest
 
 from zetacross.errors import DomainError
 from zetacross.specfun import RS_SWITCHOVER, hardy_z, zeta_mod_sq
-from zetacross.specfun.zeta import hardy_z_em, hardy_z_rs
+from zetacross.specfun.zeta import (
+    _build_psi_tables,
+    _psi_derivative,
+    hardy_z_em,
+    hardy_z_rs,
+)
 
 from oracles import bisect_oracle, hardy_z_oracle, zeta_mod_sq_oracle
 
@@ -48,6 +53,27 @@ def test_riemann_siegel_matches_euler_maclaurin():
         em = hardy_z_em(t)
         rs = hardy_z_rs(t)
         assert abs(em - rs) <= 1e-10 * max(1.0, abs(em))
+
+
+def test_riemann_siegel_against_mpmath():
+    # heights of the verify windows above the switchover, L up to ~1e4
+    mpmath = pytest.importorskip("mpmath")
+    for t in (2000.5, 3200.0, 5555.5, 8100.0, 17500.0, 33000.0):
+        with mpmath.workdps(30):
+            ref = float(mpmath.siegelz(t))
+        assert abs(hardy_z_rs(t) - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+def test_psi_derivative_matches_numpy_horner():
+    # reference: the same Horner loop on numpy float64 scalars
+    tables = _build_psi_tables()
+    for k in range(13):
+        for p in (0.0, 0.013, 0.25, 0.5, 0.75, 0.999):
+            u = p - 0.5
+            acc = 0.0
+            for c in tables[k][::-1]:
+                acc = acc * u + c
+            assert _psi_derivative(k, p) == float(acc)
 
 
 def test_switchover_continuity():
