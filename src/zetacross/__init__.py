@@ -10,7 +10,6 @@ from .critline import (  # noqa: E402,F401
     base_segment,
     build_mother_instance,
     hl_integral,
-    ladder_phi1,
     mean_value_abscissa,
     reverse_iterate,
 )

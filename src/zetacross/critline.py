@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Callable
 
 from .errors import AccuracyError, ConfigError, DegeneracyError, DomainError
@@ -110,19 +109,6 @@ class LadderModel:
         return f"affine:{self.delta!r}"
 
 
-def ladder_phi1(t: float, model: LadderModel) -> float:
-    """phi1(t) under the given model."""
-    return model.value(t)
-
-
-class WeightKind(IntEnum):
-    """The three window weights; f(SIN_SQ) - f(COS_SQ) + f(COS_2T) = 0."""
-
-    SIN_SQ = 1
-    COS_SQ = 2
-    COS_2T = 3
-
-
 # weight index l = 1, 2, 3 -> sin^2, cos^2, cos 2t
 _WEIGHTS: dict[int, Callable[[float], float]] = {
     1: lambda t: math.sin(t) ** 2,
@@ -131,7 +117,7 @@ _WEIGHTS: dict[int, Callable[[float], float]] = {
 }
 
 
-def weight_fn(l: int | WeightKind) -> Callable[[float], float]:
+def weight_fn(l: int) -> Callable[[float], float]:
     if l not in _WEIGHTS:
         raise DomainError(f"weight index must be 1, 2 or 3, got {l}")
     return _WEIGHTS[l]
@@ -423,7 +409,7 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
 
 __all__ = [
     "EULER_GAMMA", "L_MIN", "U_MAX", "Segment", "base_segment",
-    "LadderModel", "ladder_phi1", "WeightKind", "weight_fn", "gen1_target",
+    "LadderModel", "weight_fn", "gen1_target",
     "hl_integral", "reverse_iterate", "mean_value_abscissa",
     "MotherInstance", "build_mother_instance",
 ]

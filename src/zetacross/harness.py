@@ -32,7 +32,8 @@ from .equations import (
     make_transmutation,
 )
 from .errors import ConfigError, DomainError, ZetacrossError
-from .levelset import LevelAssignment, build_level_assignments, trace_level_arc
+from .levelset import (LevelAssignment, build_level_assignments, level_point,
+                       spec_for_slot, trace_level_arc)
 from .params import DEFAULT_PARAMS, ParameterSet
 
 SCHEMA_VERSION = 1
@@ -396,8 +397,6 @@ def emit_atlas(config: RunConfig, slots: list[tuple[int, int]], out_dir: str | P
     the others walk the implicit curve from the solved point. Slots
     whose solve fails are skipped with a warning.
     """
-    from .levelset import spec_for_slot, level_point
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     L = config.L_list[0]

@@ -1,8 +1,8 @@
 """Level-curve solving: given a function family and a positive target v,
 produce a complex point s with |F(s)| = v, certified by re-evaluation.
 
-Each family carries canonical one-dimensional search paths that jointly
-cover every reachable target:
+Each family's entry in _FAMILIES carries canonical one-dimensional search
+paths that jointly cover every reachable target:
 
   cosine       real axis (v <= 1), then the imaginary axis where
                |cos iy| = cosh y grows without bound;
@@ -15,8 +15,8 @@ cover every reachable target:
                (sn climbs to 1/k, dn falls to 0), then the imaginary
                axis toward the shared pole at i K'.
 
-A coarse-grid rectangle fallback backs the paths. Solutions are
-deterministic: fixed grids, fixed expansion schedules, first-bracket
+A target that no canonical path reaches raises SearchError. Solutions
+are deterministic: fixed grids, fixed expansion schedules, first-bracket
 (smallest-|s|) selection along each path, paths tried in a fixed order.
 """
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .critline import MotherInstance, gen1_target
-from .errors import AccuracyError, DomainError, PoleError, SearchError
+from .errors import AccuracyError, DomainError, SearchError
 from .numerics import bisect_root
 from .params import ParameterSet
 from .specfun import (
@@ -43,16 +43,9 @@ from .specfun import (
 )
 from .specfun.jacobi import POLE_EXCLUSION, pole_distance
 
-# abscissa and height of the gamma minimum on (0, inf)
+# abscissa of the gamma minimum on (0, inf)
 _GAMMA_MIN_X = 1.4616321449683623
 _JACOBI_KIND_BY_L = {1: "SN", 2: "CN", 3: "DN"}
-_FAMILY_KIND_BY_SLOT = {
-    3: "COSINE", 8: "COSINE",
-    4: "POWER", 9: "POWER",
-    5: "RECIP_GAMMA", 10: "RECIP_GAMMA",
-    6: "BESSEL", 11: "BESSEL",
-    7: "JACOBI", 12: "JACOBI",
-}
 
 
 @dataclass(frozen=True)
@@ -66,17 +59,15 @@ class LevelFamily:
     modulus: EllipticModulus | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "POWER":
-            if self.n is None or self.n < 1:
-                raise DomainError(f"power family needs n >= 1, got {self.n}")
-        elif self.kind == "BESSEL":
-            if self.order is None:
-                raise DomainError("bessel family needs an integer order")
-        elif self.kind == "JACOBI":
-            if self.jacobi_kind not in ("SN", "CN", "DN") or self.modulus is None:
-                raise DomainError("jacobi family needs a kind and a modulus")
-        elif self.kind not in ("COSINE", "RECIP_GAMMA"):
+        if self.kind not in _FAMILIES:
             raise DomainError(f"unknown family kind {self.kind!r}")
+        if self.kind == "POWER" and (self.n is None or self.n < 1):
+            raise DomainError(f"power family needs n >= 1, got {self.n}")
+        if self.kind == "BESSEL" and self.order is None:
+            raise DomainError("bessel family needs an integer order")
+        jacobi_ok = self.jacobi_kind in ("SN", "CN", "DN") and self.modulus is not None
+        if self.kind == "JACOBI" and not jacobi_ok:
+            raise DomainError("jacobi family needs a kind and a modulus")
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -103,41 +94,22 @@ class LevelFamily:
             k = EllipticModulus(k)
         return cls("JACOBI", jacobi_kind=kind, modulus=k)
 
-    # -- evaluation --------------------------------------------------------
+    # -- evaluation: read from the family's definition in _FAMILIES -------
+    @property
+    def _def(self) -> "_FamilyDef":
+        return _FAMILIES[self.kind]
+
     def evaluate(self, s: complex) -> complex:
-        if self.kind == "COSINE":
-            return cmath.cos(s)
-        if self.kind == "POWER":
-            return s ** self.n
-        if self.kind == "RECIP_GAMMA":
-            return cmath.exp(-log_gamma_complex(s))
-        if self.kind == "BESSEL":
-            return bessel_j(self.order, s)
-        return jacobi_elliptic(self.jacobi_kind, s, self.modulus)
+        return self._def.evaluate(self, s)
 
     def abs_value(self, s: complex) -> float:
-        if self.kind == "RECIP_GAMMA":
-            return recip_gamma_abs(s)  # stable where gamma over/underflows
-        if self.kind == "POWER":
-            return abs(s) ** self.n
-        return abs(self.evaluate(s))
+        return self._def.abs_value(self, s)
 
     def reject_near_pole(self, s: complex) -> bool:
-        if self.kind == "JACOBI":
-            return pole_distance(s, self.modulus) < POLE_EXCLUSION
-        if self.kind == "RECIP_GAMMA":
-            n = round(s.real)
-            return n <= 0 and abs(s - n) < POLE_EXCLUSION
-        return False
+        return self._def.near_pole(self, s)
 
     def describe(self) -> str:
-        if self.kind == "POWER":
-            return f"power(n={self.n})"
-        if self.kind == "BESSEL":
-            return f"bessel(p={self.order.p})"
-        if self.kind == "JACOBI":
-            return f"jacobi({self.jacobi_kind}, k={self.modulus.k:.6g})"
-        return self.kind.lower()
+        return self._def.describe(self)
 
 
 @dataclass(frozen=True)
@@ -315,64 +287,66 @@ def _solve_jacobi(kind: str, mod: EllipticModulus, v: float) -> complex:
     )
 
 
-def _grid_fallback(spec: LevelCurveSpec, res_tol: float) -> LevelPoint:
-    """Coarse 64x64 modulus grid over an expanding square, then bisection
-    along the first bracketing horizontal edge (lexicographic order)."""
-    fam = spec.family
-    v = spec.target
-    size = 4.0
-    for _ in range(3):
-        n_cells = 64
-        step = size / n_cells
-        candidates: list[tuple[float, float, float, float]] = []
-        for j in range(n_cells + 1):
-            y = j * step
-            prev_x = 0.0
-            s0 = complex(prev_x, y)
-            prev_m = fam.abs_value(s0) - v if not fam.reject_near_pole(s0) else math.nan
-            for i in range(1, n_cells + 1):
-                x = i * step
-                s1 = complex(x, y)
-                if fam.reject_near_pole(s1):
-                    prev_m = math.nan
-                    prev_x = x
-                    continue
-                cur_m = fam.abs_value(s1) - v
-                if not math.isnan(prev_m) and (prev_m < 0.0) != (cur_m < 0.0):
-                    mid = complex(0.5 * (prev_x + x), y)
-                    candidates.append((abs(mid), mid.real, mid.imag, prev_x))
-                prev_m = cur_m
-                prev_x = x
-        if candidates:
-            candidates.sort()
-            _, _, y, x_lo = candidates[0]
-            root = _bisect_on_path(
-                lambda x: fam.abs_value(complex(x, y)), v, x_lo, x_lo + step
-            )
-            if root is not None:
-                return _certify(spec, complex(root, y), res_tol)
-        size *= 2.0
-    raise SearchError(
-        f"target {v:.6g} unreachable for {fam.describe()} after 3 region expansions"
-    )
+@dataclass(frozen=True)
+class _FamilyDef:
+    """Everything that differs between families; callables take the family first."""
+
+    slots: tuple[int, int]  # slot n of the first and the second generation
+    evaluate: Callable[[LevelFamily, complex], complex]
+    solve: Callable[[LevelFamily, float], complex]
+    from_params: Callable[[ParameterSet, int, int], LevelFamily]  # (params, idx, l)
+    abs_value: Callable[[LevelFamily, complex], float] = lambda f, s: abs(f.evaluate(s))
+    near_pole: Callable[[LevelFamily, complex], bool] = lambda f, s: False
+    describe: Callable[[LevelFamily], str] = lambda f: f.kind.lower()
+
+
+_FAMILIES = {
+    "COSINE": _FamilyDef(
+        slots=(3, 8),
+        evaluate=lambda f, s: cmath.cos(s),
+        solve=lambda f, v: _solve_cosine(v),
+        from_params=lambda ps, i, l: LevelFamily.cosine(),
+    ),
+    "POWER": _FamilyDef(
+        slots=(4, 9),
+        evaluate=lambda f, s: s ** f.n,
+        solve=lambda f, v: _solve_power(f.n, v),
+        from_params=lambda ps, i, l: LevelFamily.power(ps.n[i]),
+        abs_value=lambda f, s: abs(s) ** f.n,
+        describe=lambda f: f"power(n={f.n})",
+    ),
+    "RECIP_GAMMA": _FamilyDef(
+        slots=(5, 10),
+        evaluate=lambda f, s: cmath.exp(-log_gamma_complex(s)),
+        solve=lambda f, v: _solve_recip_gamma(v),
+        from_params=lambda ps, i, l: LevelFamily.recip_gamma(),
+        abs_value=lambda f, s: recip_gamma_abs(s),  # stable where gamma over/underflows
+        near_pole=lambda f, s: (round(s.real) <= 0
+                                and abs(s - round(s.real)) < POLE_EXCLUSION),
+    ),
+    "BESSEL": _FamilyDef(
+        slots=(6, 11),
+        evaluate=lambda f, s: bessel_j(f.order, s),
+        solve=lambda f, v: _solve_bessel(f.order, v),
+        from_params=lambda ps, i, l: LevelFamily.bessel(ps.p[i]),
+        describe=lambda f: f"bessel(p={f.order.p})",
+    ),
+    "JACOBI": _FamilyDef(
+        slots=(7, 12),
+        evaluate=lambda f, s: jacobi_elliptic(f.jacobi_kind, s, f.modulus),
+        solve=lambda f, v: _solve_jacobi(f.jacobi_kind, f.modulus, v),
+        from_params=lambda ps, i, l: LevelFamily.jacobi(_JACOBI_KIND_BY_L[l], ps.k[i]),
+        near_pole=lambda f, s: pole_distance(s, f.modulus) < POLE_EXCLUSION,
+        describe=lambda f: f"jacobi({f.jacobi_kind}, k={f.modulus.k:.6g})",
+    ),
+}
+_FAMILY_KIND_BY_SLOT = {n: kind for kind, fam in _FAMILIES.items() for n in fam.slots}
 
 
 def level_point(spec: LevelCurveSpec, res_tol: float = RESIDUAL_TOL) -> LevelPoint:
     """Solve |F(s)| = target on the family's canonical paths."""
     fam = spec.family
-    v = spec.target
-    try:
-        if fam.kind == "COSINE":
-            return _certify(spec, _solve_cosine(v), res_tol)
-        if fam.kind == "POWER":
-            return _certify(spec, _solve_power(fam.n, v), res_tol)
-        if fam.kind == "RECIP_GAMMA":
-            return _certify(spec, _solve_recip_gamma(v), res_tol)
-        if fam.kind == "BESSEL":
-            return _certify(spec, _solve_bessel(fam.order, v), res_tol)
-        return _certify(spec, _solve_jacobi(fam.jacobi_kind, fam.modulus, v), res_tol)
-    except (SearchError, AccuracyError, PoleError):
-        return _grid_fallback(spec, res_tol)
+    return _certify(spec, fam._def.solve(fam, spec.target), res_tol)
 
 
 # --------------------------------------------------------------------------
@@ -470,17 +444,8 @@ ALL_SLOTS = tuple((n, l) for n in range(3, 13) for l in (1, 2, 3))
 def family_for_slot(n: int, l: int, params: ParameterSet) -> LevelFamily:
     """The function family attached to slot (n, l); first-generation
     slots (n <= 7) read parameter index l, second-generation l+3."""
-    kind = _FAMILY_KIND_BY_SLOT[n]
     idx = (l - 1) if n <= 7 else (l + 2)
-    if kind == "COSINE":
-        return LevelFamily.cosine()
-    if kind == "POWER":
-        return LevelFamily.power(params.n[idx])
-    if kind == "RECIP_GAMMA":
-        return LevelFamily.recip_gamma()
-    if kind == "BESSEL":
-        return LevelFamily.bessel(params.p[idx])
-    return LevelFamily.jacobi(_JACOBI_KIND_BY_L[l], params.k[idx])
+    return _FAMILIES[_FAMILY_KIND_BY_SLOT[n]].from_params(params, idx, l)
 
 
 def spec_for_slot(n: int, l: int, inst: MotherInstance,

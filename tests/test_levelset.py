@@ -1,11 +1,12 @@
 """Level-curve solving: closed forms, canonical paths, tracing, slots."""
 
+import dataclasses
 import math
 
 import pytest
 
 from zetacross.critline import LadderModel, build_mother_instance, gen1_target
-from zetacross.errors import DomainError, SearchError, ZetacrossError
+from zetacross.errors import DomainError, SearchError
 from zetacross.levelset import (
     ALL_SLOTS,
     LevelCurveSpec,
@@ -13,7 +14,6 @@ from zetacross.levelset import (
     build_level_assignments,
     family_for_slot,
     level_point,
-    spec_for_slot,
     trace_level_arc,
 )
 from zetacross.params import DEFAULT_PARAMS, SplitMix64, draw_parameter_set
@@ -70,18 +70,20 @@ def test_spec_slot_validation():
 
 def test_existence_coverage_log_uniform():
     # per family: log-uniform targets all solved or typed search error,
-    # and repeated solving is bit-identical
+    # repeated solving is bit-identical, and every point lies on one of
+    # the family's canonical paths: the real axis or a vertical line
     gen = SplitMix64(2718281828)
+    big_k = elliptic_k(0.6)
     families = [
-        LevelFamily.cosine(),
-        LevelFamily.power(3),
-        LevelFamily.recip_gamma(),
-        LevelFamily.bessel(1),
-        LevelFamily.jacobi("SN", 0.6),
-        LevelFamily.jacobi("CN", 0.6),
-        LevelFamily.jacobi("DN", 0.6),
+        (LevelFamily.cosine(), (0.0,)),
+        (LevelFamily.power(3), ()),
+        (LevelFamily.recip_gamma(), (0.5,)),
+        (LevelFamily.bessel(1), (0.0,)),
+        (LevelFamily.jacobi("SN", 0.6), (0.0, big_k)),
+        (LevelFamily.jacobi("CN", 0.6), (0.0, big_k)),
+        (LevelFamily.jacobi("DN", 0.6), (0.0, big_k)),
     ]
-    for fam in families:
+    for fam, vertical_lines in families:
         solved = 0
         for _ in range(40):
             v = 10.0 ** (-3.0 + 6.0 * gen.next_unit())
@@ -93,6 +95,7 @@ def test_existence_coverage_log_uniform():
                 continue
             assert (a.s.re, a.s.im) == (b.s.re, b.s.im)
             assert a.residual <= 1e-10 * max(1.0, v)
+            assert a.s.im == 0.0 or a.s.re in vertical_lines, (fam.describe(), v)
             solved += 1
         assert solved == 40, f"{fam.describe()} solved only {solved}/40"
 
@@ -155,10 +158,10 @@ def test_full_assignment_certified():
 
 
 def test_assignment_error_carries_slot():
-    # an unreachable bessel target must name its slot; build a spec set
-    # whose second-generation bessel target is astronomically large
+    # an unreachable bessel target must name its slot: c_1 = 1e30 is far
+    # above |J_p| on the validated imaginary axis, while the cosine, power
+    # and 1/gamma slots before it still reach c_1
     inst = build_mother_instance(math.pi / 8, 50, LadderModel("ASYMPTOTIC"), "EXACT")
-    spec = spec_for_slot(11, 1, inst, DEFAULT_PARAMS)
-    huge = LevelCurveSpec(spec.family, 1e280, "SECOND", (11, 1))
-    with pytest.raises(ZetacrossError):
-        level_point(huge)
+    huge = dataclasses.replace(inst, c=(1e30,) + inst.c[1:])
+    with pytest.raises(SearchError, match=r"slot \(n=11, l=1\)"):
+        build_level_assignments(huge, DEFAULT_PARAMS)
