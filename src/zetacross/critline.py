@@ -26,6 +26,7 @@ L_MIN = 10
 U_MAX = 0.25 * math.pi
 
 _MIN_ASYMPTOTIC_T = math.e ** 2
+_Z_MEMO_SIZE = 2048  # > the ~1,530 distinct t of a window; caps a runaway quadrature
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,8 @@ def _mean_crossing(fn: Callable[[float], float], seg: Segment, mean: float,
 def weighted_integrand(l: int, model: LadderModel,
                        z_sq: Callable[[float], float] | None = None
                        ) -> Callable[[float], float]:
-    """G_l(t) = Z(t)^2 f_l(phi1(t)), with Z^2 from z_sq (zeta_mod_sq if None)."""
+    """G_l(t) = Z(t)^2 f_l(phi1(t)), with Z^2 from z_sq (zeta_mod_sq if None),
+    which must give zeta_mod_sq's values bit for bit, e.g. from a memo."""
     f_l = weight_fn(l)
     z_sq = z_sq or zeta_mod_sq
 
@@ -224,9 +226,10 @@ def weighted_integrand(l: int, model: LadderModel,
 
 
 def weighted_mean(l: int, lifted: Segment, model: LadderModel,
-                  rel_tol: float = 1e-11) -> float:
-    """Average of G_l over the lifted segment, by adaptive panels."""
-    g = weighted_integrand(l, model)
+                  rel_tol: float = 1e-11, *,
+                  z_sq: Callable[[float], float] | None = None) -> float:
+    """Average of G_l over lifted by adaptive panels; z_sq as in weighted_integrand."""
+    g = weighted_integrand(l, model, z_sq)
     return adaptive_quadrature(g, lifted.lo, lifted.hi, rel_tol) / lifted.length
 
 
@@ -243,13 +246,13 @@ def mean_value_abscissa(l: int, lifted: Segment, model: LadderModel,
     point is certified to |G(alpha1) - mean| <= 1e-10 mean; the residual
     floor is the t-axis float spacing times the local slope, so very
     large t would need a looser bound (the desk-scale grid stays an
-    order of magnitude clear of it). z_sq, if given, replaces zeta_mod_sq
-    in the crossing search and residual check only, never in the mean's
-    quadrature; it must return zeta_mod_sq's values, e.g. from a memo.
+    order of magnitude clear of it). z_sq, as in weighted_integrand,
+    serves the crossing search, the residual check and, when mean is
+    None, the mean's quadrature.
     """
     g = weighted_integrand(l, model, z_sq)
     if mean is None:
-        mean = weighted_mean(l, lifted, model, rel_tol)
+        mean = weighted_mean(l, lifted, model, rel_tol, z_sq=z_sq)
     alpha1, flagged = _mean_crossing(g, lifted, mean, cells, grid_offset)
     if not flagged:
         resid = abs(g(alpha1) - mean)
@@ -308,30 +311,29 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
     (the numerical consequence of f1 - f2 + f3 = 0) and the quadrature
     additivity cross-check on the middle term.
 
-    The crossing phase (three scans, their bisections, the zero check
-    and the placement check) shares one Z evaluation per distinct t
-    across the three weights, through a memo that lives for this call
-    only; the quadratures for the means do not use it. Every value is
-    the one an unshared evaluation would give, bit for bit.
+    The three mean quadratures and the crossing phase (three scans,
+    their bisections, the zero check and the placement check) share one
+    Z evaluation per distinct t, through a memo of at most _Z_MEMO_SIZE
+    entries that lives for this call only. Every value is the one an
+    unshared evaluation would give, bit for bit.
     """
     if mode not in ("EXACT", "ASYMPTOTIC"):
         raise ConfigError(f"mode must be EXACT or ASYMPTOTIC, got {mode!r}")
     base = base_segment(U, L)
     lifted = reverse_iterate(base, model)
-
-    means = {
-        1: weighted_mean(1, lifted, model, quad_rel),
-        3: weighted_mean(3, lifted, model, quad_rel),
-    }
-    means[2] = means[1] + means[3]
-    mean2_direct = weighted_mean(2, lifted, model, quad_rel)
-    additivity_residual = abs(means[2] - mean2_direct) / max(mean2_direct, 1e-300)
-
-    z = functools.cache(hardy_z)
+    z = functools.lru_cache(maxsize=_Z_MEMO_SIZE)(hardy_z)
 
     def z_sq(t: float) -> float:
         v = z(t)
         return v * v
+
+    means = {
+        1: weighted_mean(1, lifted, model, quad_rel, z_sq=z_sq),
+        3: weighted_mean(3, lifted, model, quad_rel, z_sq=z_sq),
+    }
+    means[2] = means[1] + means[3]
+    mean2_direct = weighted_mean(2, lifted, model, quad_rel, z_sq=z_sq)
+    additivity_residual = abs(means[2] - mean2_direct) / max(mean2_direct, 1e-300)
 
     alpha1 = []
     alpha0 = []

@@ -7,7 +7,6 @@ caps, no randomness. Identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -48,7 +47,7 @@ def neumaier_sum(values: Sequence[float]) -> float:
 
 
 # --------------------------------------------------------------------------
-# Bernoulli numbers (exact rational recurrence, cached as floats)
+# Bernoulli numbers (exact Fractions; callers round them into float tables)
 # --------------------------------------------------------------------------
 
 _BERNOULLI_CACHE: list[Fraction] = []
@@ -73,11 +72,6 @@ def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number B_n."""
     _extend_bernoulli(n)
     return _BERNOULLI_CACHE[n]
-
-
-def bernoulli_over_factorial(two_k: int) -> float:
-    """B_{2k} / (2k)! as a float, for Euler-Maclaurin tails."""
-    return float(bernoulli(two_k) / math.factorial(two_k))
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from ..errors import AccuracyError
 from ..numerics import NeumaierSum
 from .types import BesselOrder, as_complex
 
@@ -71,11 +72,10 @@ def _miller(p: int, s: complex) -> complex:
                 chain_p *= 1e-250
             if chain_q is not None:
                 chain_q *= 1e-250
-    assert chain_p is not None and chain_q is not None
     if chain_q == 0:
         # dynamic range beyond double precision (far outside the
         # validated |s| <= 50 domain)
-        raise OverflowError(f"bessel recurrence range exhausted at |s| = {r:.3g}")
+        raise AccuracyError(f"bessel recurrence range exhausted at |s| = {r:.3g}")
     ref = _series(q, s)
     return chain_p * (ref / chain_q)
 

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from ..numerics import NeumaierSum, bernoulli_over_factorial
+from ..numerics import NeumaierSum, bernoulli
 from .gammafn import log_gamma_complex
 
 RS_SWITCHOVER = 2000.0
@@ -49,11 +49,14 @@ def _logs_up_to(n: int) -> np.ndarray:
     return _log_table[: n - 1]
 
 
-def zeta_half_em(t: float, n_terms: int | None = None, max_tail: int = 30) -> complex:
+# B_{2k} / (2k)! for the tail, k = 1..30, correctly rounded from the Fraction.
+_EM_TAIL = tuple(float(bernoulli(2 * k) / math.factorial(2 * k)) for k in range(1, 31))
+
+
+def zeta_half_em(t: float) -> complex:
     """zeta(1/2 + it) by Euler-Maclaurin with N ~ t/pi nodes."""
     s = complex(0.5, t)
-    if n_terms is None:
-        n_terms = max(32, int(math.ceil(abs(t) / math.pi)) + 8)
+    n_terms = max(32, int(math.ceil(abs(t) / math.pi)) + 8)
     head = np.exp(-s * _logs_up_to(n_terms)).sum()
     big_n = float(n_terms)
     n_minus_s = complex(np.exp(-s * math.log(big_n)))  # N^{-s}
@@ -63,8 +66,8 @@ def zeta_half_em(t: float, n_terms: int | None = None, max_tail: int = 30) -> co
     rising = s
     pw = n_minus_s / big_n  # N^{-s-1}
     prev = math.inf
-    for k in range(1, max_tail + 1):
-        term = bernoulli_over_factorial(2 * k) * rising * pw
+    for k, b_over_f in enumerate(_EM_TAIL, 1):
+        term = b_over_f * rising * pw
         mag = abs(term)
         if mag >= prev:
             break

@@ -1,5 +1,6 @@
 """Mean-value construction: segments, ladders, quadrature, instances."""
 
+import functools
 import math
 
 import pytest
@@ -145,6 +146,20 @@ def test_mean_value_abscissa_interior_and_certified():
         assert abs(g(alpha) - mean) <= 1e-10 * mean
 
 
+def test_weighted_mean_with_shared_z_sq_bit_identical():
+    m = LadderModel("ASYMPTOTIC")
+    z = functools.cache(zeta.hardy_z)  # one memo across the three weights
+
+    def z_sq(t):
+        v = z(t)
+        return v * v
+
+    for L in (20, 843):  # Euler-Maclaurin and Riemann-Siegel heights
+        lifted = reverse_iterate(base_segment(math.pi / 8, L), m)
+        for l in (1, 2, 3):
+            assert weighted_mean(l, lifted, m, z_sq=z_sq) == weighted_mean(l, lifted, m)
+
+
 def test_mean_value_defect_against_doubled_refinement():
     # G_l(alpha1) |seg| vs the integral at doubled refinement
     m = LadderModel("ASYMPTOTIC")
@@ -176,7 +191,8 @@ def test_mother_instance_exact_grid():
 
 
 def test_mother_instance_z_calls_shared_across_weights(monkeypatch):
-    # three unshared 1024-cell scans cost ~3,590 Z calls per instance
+    # three unshared 1024-cell scans cost ~3,590 Z calls per instance, and
+    # three unshared mean quadratures ~1,530
     calls = []
 
     def counting(fn):
@@ -191,7 +207,7 @@ def test_mother_instance_z_calls_shared_across_weights(monkeypatch):
     for L in (20, 100, 500):
         calls.clear()
         build_mother_instance(math.pi / 8, L, m, "EXACT")
-        assert len(calls) <= 1600
+        assert len(calls) <= 1300
 
 
 def test_mother_instance_alpha1_matches_unshared_crossing():

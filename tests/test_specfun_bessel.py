@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from zetacross.errors import AccuracyError
 from zetacross.specfun import BesselOrder, bessel_j
 
 from oracles import bisect_oracle, j0_series_oracle
@@ -56,6 +57,13 @@ def test_regime_seam_consistency():
             a = _series(p, s)
             b = _miller(p, s)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+def test_recurrence_range_exhausted_is_typed():
+    # far outside |s| <= 50 the normalizing chain underflows to zero
+    for s in (1000.0, 700j):
+        with pytest.raises(AccuracyError, match="range exhausted"):
+            bessel_j(0, s)
 
 
 def test_order_type_wrapper():

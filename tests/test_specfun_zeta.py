@@ -1,17 +1,24 @@
 """Critical-line evaluator against the fixed-term Euler-Maclaurin oracle."""
 
+import math
+
+import numpy as np
 import pytest
 
 from zetacross.errors import DomainError
+from zetacross.numerics import bernoulli
 from zetacross.specfun import RS_SWITCHOVER, hardy_z, zeta_mod_sq
 from zetacross.specfun.zeta import (
+    _EM_TAIL,
     _build_psi_tables,
+    _logs_up_to,
     _psi_derivative,
     hardy_z_em,
     hardy_z_rs,
+    rs_theta,
 )
 
-from oracles import bisect_oracle, hardy_z_oracle, zeta_mod_sq_oracle
+from oracles import _B2K, bisect_oracle, hardy_z_oracle, zeta_mod_sq_oracle
 
 # Frozen from the oracles (tests/oracles.py), not from the implementation.
 ZETA_HALF = -1.4603545088096335
@@ -74,6 +81,43 @@ def test_psi_derivative_matches_numpy_horner():
             for c in tables[k][::-1]:
                 acc = acc * u + c
             assert _psi_derivative(k, p) == float(acc)
+
+
+def test_em_tail_table_is_correctly_rounded():
+    assert len(_EM_TAIL) == 30
+    for k, entry in enumerate(_EM_TAIL, 1):
+        assert entry == float(bernoulli(2 * k) / math.factorial(2 * k))
+    for k, b in enumerate(_B2K, 1):  # literal B_2 .. B_30
+        assert _EM_TAIL[k - 1] == float(b / math.factorial(2 * k))
+
+
+def _hardy_z_em_fraction_path(t):
+    """hardy_z_em with each tail coefficient rebuilt from its Fraction."""
+    s = complex(0.5, t)
+    n_terms = max(32, int(math.ceil(abs(t) / math.pi)) + 8)
+    head = np.exp(-s * _logs_up_to(n_terms)).sum()
+    big_n = float(n_terms)
+    n_minus_s = complex(np.exp(-s * math.log(big_n)))
+    value = head + n_minus_s * big_n / (s - 1.0) + 0.5 * n_minus_s
+    rising, pw, prev = s, n_minus_s / big_n, math.inf
+    for k in range(1, 31):
+        term = float(bernoulli(2 * k) / math.factorial(2 * k)) * rising * pw
+        mag = abs(term)
+        if mag >= prev:
+            break
+        value += term
+        prev = mag
+        if mag < 1e-18 * abs(value):
+            break
+        rising *= (s + (2 * k - 1)) * (s + 2 * k)
+        pw /= big_n * big_n
+    theta = rs_theta(t)
+    return (complex(math.cos(theta), math.sin(theta)) * complex(value)).real
+
+
+def test_em_table_bit_identical_to_fraction_path():
+    for t in (14.134725, 63.0, 64.0, 201.5, 562.25, 1001.0, 1600.0, 1999.0):
+        assert hardy_z_em(t) == _hardy_z_em_fraction_path(t)
 
 
 def test_switchover_continuity():
