@@ -36,6 +36,5 @@ from .harness import (  # noqa: E402,F401
     load_config,
     parse_config,
     run,
-    scaling_study,
     serialize_config,
 )

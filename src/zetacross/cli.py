@@ -18,9 +18,7 @@ from .harness import (
     emit_atlas,
     load_config,
     run,
-    scaling_study,
     write_report,
-    write_scaling_csv,
 )
 
 
@@ -54,12 +52,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         overrides["U"] = args.U
     if getattr(args, "L", None) is not None:
         overrides["L_list"] = _parse_l_list(args.L)
-    if getattr(args, "mode", None) is not None:
-        overrides["mode"] = args.mode.upper()
     if getattr(args, "ladder", None) is not None:
         overrides["ladder"] = LadderModel.parse(args.ladder)
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
     return replace(config, **overrides) if overrides else config
 
 
@@ -77,19 +71,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--U", type=float, default=None)
     common.add_argument("--L", type=str, default=None,
                         help="comma-separated window indices")
-    common.add_argument("--mode", choices=["exact", "asymptotic"], default=None)
     common.add_argument("--ladder", type=str, default=None,
                         help="asymptotic | affine:DELTA")
-    common.add_argument("--seed", type=int, default=None)
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run the full certification pipeline")
     p_verify.add_argument("--out", type=Path, default=Path("report.json"))
-
-    p_scaling = sub.add_parser("scaling", parents=[common],
-                               help="survey the eliminated factor against "
-                                    "its decay shape")
-    p_scaling.add_argument("--out", type=Path, default=Path("scaling.csv"))
 
     p_atlas = sub.add_parser("atlas", parents=[common],
                              help="emit re-certified level-curve arcs as CSV")
@@ -115,17 +102,6 @@ def main(argv: list[str] | None = None) -> int:
             good = sum(1 for r in report["payload"]["runs"] if r["certified"])
             print(f"certified {good}/{total} window(s); report: {args.out}")
             return 0 if ok else 1
-        if args.command == "scaling":
-            if config.mode != "ASYMPTOTIC":
-                config = replace(config, mode="ASYMPTOTIC")
-            study = scaling_study(config)
-            write_scaling_csv(study, args.out)
-            print(
-                f"fitted constant {study.fitted_constant:.3e}, "
-                f"max upper ratio {study.max_upper_ratio:.3e}, "
-                f"within bound: {study.within_bound}"
-            )
-            return 0 if study.within_bound else 1
         if args.command == "atlas":
             slots = _parse_slots(args.slots)
             written, warnings = emit_atlas(config, slots, args.out_dir,

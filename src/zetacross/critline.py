@@ -67,8 +67,7 @@ class LadderModel:
     ASYMPTOTIC: phi1(T) = T - (1 - gamma) T / ln T   (T > e^2)
     AFFINE:     phi1(T) = T - delta                  (delta >= 0)
 
-    The affine family includes the degenerate delta = 0 identity, used
-    by the scaling study as a null configuration.
+    The affine family includes the degenerate delta = 0 identity.
     """
 
     kind: str = "ASYMPTOTIC"
@@ -99,7 +98,10 @@ class LadderModel:
         if text == "asymptotic":
             return cls("ASYMPTOTIC")
         if text.startswith("affine:"):
-            return cls("AFFINE", float(text.split(":", 1)[1]))
+            try:
+                return cls("AFFINE", float(text.split(":", 1)[1]))
+            except ValueError as err:
+                raise ConfigError(f"bad affine ladder delta in {text!r}") from err
         if text == "affine":
             return cls("AFFINE", 0.0)
         raise ConfigError(f"cannot parse ladder model {text!r}")
@@ -282,7 +284,6 @@ class MotherInstance:
     U: float
     L: int
     model: LadderModel
-    mode: str
     alpha1: tuple[float, float, float]
     alpha0: tuple[float, float, float]
     c: tuple[float, float, float]
@@ -307,9 +308,10 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
                           quad_rel: float = 1e-11) -> MotherInstance:
     """Assemble the three averaged terms and their common factor theta.
 
-    EXACT mode additionally certifies |a1 - a2 + a3| <= 1e-8 max a_l
+    Raises unless no mean was flagged, |a1 - a2 + a3| <= 1e-8 max a_l
     (the numerical consequence of f1 - f2 + f3 = 0) and the quadrature
-    additivity cross-check on the middle term.
+    additivity cross-check on the middle term holds. mode must be
+    "EXACT"; it stays only for callers that pass it positionally.
 
     The three mean quadratures and the crossing phase (three scans,
     their bisections, the zero check and the placement check) share one
@@ -317,8 +319,8 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
     entries that lives for this call only. Every value is the one an
     unshared evaluation would give, bit for bit.
     """
-    if mode not in ("EXACT", "ASYMPTOTIC"):
-        raise ConfigError(f"mode must be EXACT or ASYMPTOTIC, got {mode!r}")
+    if mode != "EXACT":
+        raise ConfigError(f"mode must be EXACT, got {mode!r}")
     base = base_segment(U, L)
     lifted = reverse_iterate(base, model)
     z = functools.lru_cache(maxsize=_Z_MEMO_SIZE)(hardy_z)
@@ -387,25 +389,24 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
         raise DegeneracyError("middle term vanished")
     theta = (a1_ + a3_) / a2_
     inst = MotherInstance(
-        U=U, L=L, model=model, mode=mode,
+        U=U, L=L, model=model,
         alpha1=tuple(alpha1), alpha0=tuple(alpha0),
         c=tuple(c_vals), g=tuple(g_vals), a=tuple(a_vals),
         theta=theta, mean_flags=tuple(flags),
         placement_residual=tuple(placement),
         additivity_residual=additivity_residual,
     )
-    if mode == "EXACT":
-        if any(flags):
-            raise DegeneracyError("mean-value flag raised in EXACT mode")
-        if inst.identity_residual > 1e-8 * inst.max_a:
-            raise AccuracyError(
-                f"three-term identity residual {inst.identity_residual:.3e} "
-                f"exceeds 1e-8 * {inst.max_a:.3e}"
-            )
-        if additivity_residual > 10.0 * quad_rel:
-            raise AccuracyError(
-                f"middle-term additivity cross-check failed: {additivity_residual:.3e}"
-            )
+    if any(flags):
+        raise DegeneracyError("mean-value flag raised")
+    if inst.identity_residual > 1e-8 * inst.max_a:
+        raise AccuracyError(
+            f"three-term identity residual {inst.identity_residual:.3e} "
+            f"exceeds 1e-8 * {inst.max_a:.3e}"
+        )
+    if additivity_residual > 10.0 * quad_rel:
+        raise AccuracyError(
+            f"middle-term additivity cross-check failed: {additivity_residual:.3e}"
+        )
     return inst
 
 

@@ -1,5 +1,5 @@
-"""Run orchestration: configuration, certification runs, the factor
-scaling study, and level-curve atlas emission.
+"""Run orchestration: configuration, certification runs and level-curve
+atlas emission.
 
 Reports are versioned JSON with a deterministic payload; everything
 time-dependent lives in an unhashed header so identical configurations
@@ -36,7 +36,7 @@ from .levelset import (LevelAssignment, build_level_assignments, level_point,
                        spec_for_slot, trace_level_arc)
 from .params import DEFAULT_PARAMS, ParameterSet
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # entries here explain places where printed sources were reconciled or
 # an underdetermined reading was pinned; they ship inside every report
@@ -68,9 +68,7 @@ class RunConfig:
     U: float = math.pi / 8.0
     L_list: tuple[int, ...] = (20, 100, 500)
     ladder: LadderModel = field(default_factory=LadderModel)
-    mode: str = "EXACT"
     params: ParameterSet = DEFAULT_PARAMS
-    seed: int = 20240809
     quad_rel: float = 1e-11
     level_res: float = 1e-10
     eq_res: float = 1e-8
@@ -83,8 +81,6 @@ class RunConfig:
         for L in self.L_list:
             if not isinstance(L, int) or L < L_MIN:
                 raise ConfigError(f"every L must be an integer >= {L_MIN}, got {L}")
-        if self.mode not in ("EXACT", "ASYMPTOTIC"):
-            raise ConfigError(f"mode must be EXACT or ASYMPTOTIC, got {self.mode!r}")
         for name, tol in (("quad_rel", self.quad_rel),
                           ("level_res", self.level_res),
                           ("eq_res", self.eq_res)):
@@ -99,8 +95,6 @@ def serialize_config(config: RunConfig) -> str:
         f"U = {config.U!r}",
         "L_list = " + ",".join(str(L) for L in config.L_list),
         f"ladder = {config.ladder.config_string()}",
-        f"mode = {config.mode}",
-        f"seed = {config.seed}",
         f"quad_rel = {config.quad_rel!r}",
         f"level_res = {config.level_res!r}",
         f"eq_res = {config.eq_res!r}",
@@ -133,10 +127,6 @@ def parse_config(text: str) -> RunConfig:
                 kwargs["L_list"] = tuple(int(x) for x in val.split(",") if x)
             elif key == "ladder":
                 kwargs["ladder"] = LadderModel.parse(val)
-            elif key == "mode":
-                kwargs["mode"] = val.upper()
-            elif key == "seed":
-                kwargs["seed"] = int(val)
             elif key in ("quad_rel", "level_res", "eq_res"):
                 kwargs[key] = float(val)
             elif key == "n":
@@ -237,9 +227,8 @@ def run(config: RunConfig) -> dict:
         t0 = time.perf_counter()
         entry: dict = {"U": config.U, "L": L}
         try:
-            inst = build_mother_instance(
-                config.U, L, config.ladder, config.mode, config.quad_rel
-            )
+            inst = build_mother_instance(config.U, L, config.ladder,
+                                         quad_rel=config.quad_rel)
             assign = build_level_assignments(inst, config.params, config.level_res)
             trans = {
                 tid: make_transmutation(tid, inst, assign, config.eq_res)
@@ -280,8 +269,6 @@ def run(config: RunConfig) -> dict:
             "U": config.U,
             "L_list": list(config.L_list),
             "ladder": config.ladder.config_string(),
-            "mode": config.mode,
-            "seed": config.seed,
             "quad_rel": config.quad_rel,
             "level_res": config.level_res,
             "eq_res": config.eq_res,
@@ -314,78 +301,6 @@ def write_report(report: dict, path: str | Path) -> None:
 
 
 # --------------------------------------------------------------------------
-# Scaling study
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScalingRow:
-    L: int
-    theta: float
-    abs_dev: float  # |theta - 1|
-    shape: float    # lnln(pi L) / ln(pi L)
-    ratio: float    # abs_dev / shape
-
-
-@dataclass(frozen=True)
-class ScalingStudy:
-    rows: tuple[ScalingRow, ...]
-    fitted_constant: float
-    max_upper_ratio: float
-    within_bound: bool
-
-
-def scaling_study(config: RunConfig) -> ScalingStudy:
-    """Survey |theta - 1| against the decay shape lnln(pi L)/ln(pi L).
-
-    The constant is fitted (least squares through the origin) on the
-    lower half of L_list; the study passes when the upper half's worst
-    ratio does not exceed twice that constant. Under the exact mean
-    construction theta deviates only at quadrature-noise level, so the
-    columns certify that the factor's deviation sits far below the
-    decay-shape envelope rather than reproducing it.
-    """
-    if config.mode != "ASYMPTOTIC":
-        raise ConfigError("scaling study requires mode = ASYMPTOTIC")
-    if len(config.L_list) < 3:
-        raise ConfigError("scaling study needs at least three L values")
-    if list(config.L_list) != sorted(set(config.L_list)):
-        raise ConfigError("L_list must be strictly increasing")
-
-    rows = []
-    for L in config.L_list:
-        inst = build_mother_instance(
-            config.U, L, config.ladder, "ASYMPTOTIC", config.quad_rel
-        )
-        x = math.log(math.pi * L)
-        shape = math.log(x) / x
-        dev = abs(inst.theta - 1.0)
-        rows.append(ScalingRow(L=L, theta=inst.theta, abs_dev=dev,
-                               shape=shape, ratio=dev / shape))
-
-    half = (len(rows) + 1) // 2
-    lower, upper = rows[:half], rows[half:]
-    sxx = sum(r.shape * r.shape for r in lower)
-    sxy = sum(r.shape * r.abs_dev for r in lower)
-    fitted = sxy / sxx
-    max_upper = max(r.ratio for r in upper)
-    return ScalingStudy(
-        rows=tuple(rows),
-        fitted_constant=fitted,
-        max_upper_ratio=max_upper,
-        within_bound=max_upper <= 2.0 * fitted or max_upper == 0.0,
-    )
-
-
-def write_scaling_csv(study: ScalingStudy, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["L", "theta", "abs_dev", "shape", "ratio"])
-        for r in study.rows:
-            writer.writerow([r.L, repr(r.theta), repr(r.abs_dev),
-                             repr(r.shape), repr(r.ratio)])
-
-
-# --------------------------------------------------------------------------
 # Atlas emission
 # --------------------------------------------------------------------------
 
@@ -395,13 +310,17 @@ def emit_atlas(config: RunConfig, slots: list[tuple[int, int]], out_dir: str | P
 
     Power-family slots sample their closed-form circle at 256 points;
     the others walk the implicit curve from the solved point. Slots
-    whose solve fails are skipped with a warning.
+    whose solve fails are skipped with a warning. A step outside
+    (1e-4, 1e-1) or a negative count raises ConfigError before any work.
     """
+    if not (1e-4 < step < 1e-1):
+        raise ConfigError(f"arc step must lie in (1e-4, 1e-1), got {step}")
+    if count < 0:
+        raise ConfigError(f"count must be nonnegative, got {count}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    L = config.L_list[0]
-    inst = build_mother_instance(config.U, L, config.ladder, config.mode,
-                                 config.quad_rel)
+    inst = build_mother_instance(config.U, config.L_list[0], config.ladder,
+                                 quad_rel=config.quad_rel)
     written: list[Path] = []
     warnings: list[str] = []
     for (n, l) in slots:

@@ -9,8 +9,9 @@ paths that jointly cover every reachable target:
   powers       closed form s = v^(1/n) on the positive real axis;
   1/gamma      the real interval (0, x*] up to the gamma minimum, then
                the vertical line 1/2 + iy where |gamma|^2 = pi/cosh(pi y);
-  bessel       the real axis (oscillatory, dense in [0, max]), then the
-               imaginary axis where |J_p(iy)| grows like I_p;
+  bessel       the real axis (oscillatory, dense in [0, max]; scanned on
+               the signed J_p), then the imaginary axis where |J_p(iy)|
+               grows like I_p;
   jacobi       the real quarter period, the vertical segment from K
                (sn climbs to 1/k, dn falls to 0), then the imaginary
                axis toward the shared pole at i K'.
@@ -182,22 +183,22 @@ def _bisect_on_path(fval: Callable[[float], float], v: float,
 
 def _scan_first_bracket(fval: Callable[[float], float], v: float,
                         lo: float, hi: float, steps: int) -> float | None:
-    """Leftmost path crossing of fval = v on a fixed uniform grid."""
-    def m(x: float) -> float:
-        return fval(x) - v
-
+    """Leftmost crossing of |fval| = v on a fixed uniform grid, fval real
+    and signed: a cell brackets when fval - s v changes sign, s the sign
+    of its left end if above v, else of its right end."""
     x_prev = lo
-    m_prev = m(lo)
-    if m_prev == 0.0:
+    f_prev = fval(lo)
+    if abs(f_prev) == v:
         return lo
     for i in range(1, steps + 1):
         x_i = lo + (hi - lo) * i / steps
-        m_i = m(x_i)
-        if m_i == 0.0:
+        f_i = fval(x_i)
+        if abs(f_i) == v:
             return x_i
-        if (m_prev < 0.0) != (m_i < 0.0):
-            return bisect_root(m, x_prev, x_i)
-        x_prev, m_prev = x_i, m_i
+        sv = math.copysign(v, f_prev if abs(f_prev) > v else f_i)
+        if (f_prev - sv < 0.0) != (f_i - sv < 0.0):
+            return bisect_root(lambda x: fval(x) - sv, x_prev, x_i)
+        x_prev, f_prev = x_i, f_i
     return None
 
 
@@ -236,7 +237,7 @@ def _solve_recip_gamma(v: float) -> complex:
 
 def _solve_bessel(order: BesselOrder, v: float) -> complex:
     p = abs(order.p)
-    fval = lambda x: abs(bessel_j(p, complex(x, 0.0)))
+    fval = lambda x: bessel_j(p, complex(x, 0.0)).real
     # Real axis within the validated |s| <= 50 domain: any target below
     # the envelope crosses inside the first lobes, so no expansion.
     root = _scan_first_bracket(fval, v, 0.0, 50.0, 400)

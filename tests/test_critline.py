@@ -109,6 +109,8 @@ def test_ladder_parse_round_trip():
         assert LadderModel.parse(m.config_string()) == m
     with pytest.raises(ConfigError):
         LadderModel.parse("spiral")
+    with pytest.raises(ConfigError):
+        LadderModel.parse("affine:abc")
 
 
 def test_reverse_iterate_affine_exact():

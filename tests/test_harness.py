@@ -1,4 +1,4 @@
-"""Harness: config round-trip, reports, scaling study, atlas, CLI."""
+"""Harness: config round-trip, reports, atlas, CLI."""
 
 import csv
 import json
@@ -8,7 +8,7 @@ import pytest
 
 from zetacross import equations, harness
 from zetacross.cli import main as cli_main
-from zetacross.critline import LadderModel
+from zetacross.critline import LadderModel, build_mother_instance
 from zetacross.errors import ConfigError
 from zetacross.harness import (
     RunConfig,
@@ -16,7 +16,6 @@ from zetacross.harness import (
     parse_config,
     payload_bytes,
     run,
-    scaling_study,
     serialize_config,
     write_report,
 )
@@ -28,8 +27,6 @@ def test_config_round_trip():
         U=math.pi / 16,
         L_list=(25, 75),
         ladder=LadderModel("AFFINE", 1.5),
-        mode="ASYMPTOTIC",
-        seed=77,
         params=ParameterSet(n=(2, 1, 3, 1, 1, 2), p=(-1, 0, 2, 1, -2, 3),
                             k=(0.3, 0.4, 0.5, 0.6, 0.7, 0.8)),
     )
@@ -45,6 +42,13 @@ def test_config_validation():
         RunConfig(L_list=(5,))  # below desk-scale floor
     with pytest.raises(ConfigError):
         parse_config("wibble = 3\n")
+    # the removed mode and seed options are unknown keys like any other
+    with pytest.raises(ConfigError):
+        parse_config("mode = EXACT\n")
+    with pytest.raises(ConfigError):
+        parse_config("seed = 1\n")
+    with pytest.raises(ConfigError):
+        build_mother_instance(math.pi / 8, 20, LadderModel(), "ASYMPTOTIC")
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +58,10 @@ def small_report():
 
 def test_report_schema_and_completeness(small_report):
     rep = small_report
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
     payload = rep["payload"]
+    assert set(payload["config"]) == {"U", "L_list", "ladder", "quad_rel",
+                                      "level_res", "eq_res", "params"}
     assert payload["certified"] is True
     assert len(payload["runs"]) == 1
     entry = payload["runs"][0]
@@ -97,36 +103,6 @@ def test_report_json_serializable(small_report, tmp_path):
     write_report(small_report, out)
     loaded = json.loads(out.read_text())
     assert loaded["payload"]["certified"] is True
-
-
-def test_scaling_study_requirements():
-    with pytest.raises(ConfigError):
-        scaling_study(RunConfig(L_list=(20, 30, 40), mode="EXACT"))
-    with pytest.raises(ConfigError):
-        scaling_study(RunConfig(L_list=(20, 30), mode="ASYMPTOTIC"))
-
-
-def test_scaling_shape_column():
-    # lnln(pi L)/ln(pi L) at L = 100, against direct evaluation
-    x = math.log(100.0 * math.pi)
-    expected = math.log(x) / x
-    study = scaling_study(RunConfig(L_list=(20, 50, 100), mode="ASYMPTOTIC"))
-    row = study.rows[2]
-    assert row.L == 100
-    assert row.shape == pytest.approx(expected, rel=1e-14)
-    assert expected == pytest.approx(0.3042109, abs=1e-7)
-    # shape decreases along increasing L
-    shapes = [r.shape for r in study.rows]
-    assert shapes == sorted(shapes, reverse=True)
-
-
-def test_scaling_degenerate_affine_identity():
-    study = scaling_study(RunConfig(L_list=(20, 50, 100), mode="ASYMPTOTIC",
-                                    ladder=LadderModel("AFFINE", 0.0)))
-    for row in study.rows:
-        assert row.theta == 1.0
-        assert row.ratio == 0.0
-    assert study.within_bound
 
 
 def test_atlas_zero_slots(tmp_path):
@@ -173,22 +149,13 @@ def test_cli_verify_and_exit_codes(tmp_path, capsys):
     # bad ladder -> config error
     code = cli_main(["verify", "--ladder", "spiral", "--out", str(out)])
     assert code == 2
+    code = cli_main(["verify", "--ladder", "affine:abc", "--out", str(out)])
+    assert code == 2
     # out-of-range modulus in a config file -> config error
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n = 1,1,1,1,1,1\np = 0,1,2,0,1,2\nk = 0.5,0.6,0.7,0.5,0.6,1.5\n")
     code = cli_main(["verify", "--config", str(cfg), "--out", str(out)])
     assert code == 2
-
-
-def test_cli_scaling(tmp_path):
-    out = tmp_path / "scaling.csv"
-    code = cli_main(["scaling", "--L", "20,50,100", "--mode", "asymptotic",
-                     "--out", str(out)])
-    assert code == 0
-    with open(out) as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["L"] for r in rows] == ["20", "50", "100"]
-    assert set(rows[0]) == {"L", "theta", "abs_dev", "shape", "ratio"}
 
 
 def test_cli_atlas(tmp_path):
@@ -199,9 +166,17 @@ def test_cli_atlas(tmp_path):
     code = cli_main(["atlas", "--L", "20", "--slots", "bogus",
                      "--out-dir", str(tmp_path / "atlas2")])
     assert code == 2
+    # a bad arc step is a usage error caught before any file is written
+    out_dir = tmp_path / "atlas3"
+    code = cli_main(["atlas", "--L", "20", "--slots", "9:1,8:1",
+                     "--out-dir", str(out_dir), "--step", "0.5"])
+    assert code == 2
+    assert not list(out_dir.glob("*.csv"))
 
 
 def test_cli_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli_main(["no-such-command"])
-    assert exc.value.code == 2
+    for argv in (["no-such-command"], ["scaling"],
+                 ["verify", "--mode", "exact"], ["verify", "--seed", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2

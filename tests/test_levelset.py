@@ -48,6 +48,16 @@ def test_recip_gamma_unit_target_on_real_axis():
     assert p.s.re == pytest.approx(1.0, rel=1e-9)
 
 
+def test_bessel_small_target_before_first_zero():
+    # |J_0| dips below a small v only in a narrow window around each zero;
+    # the signed real-axis scan brackets it just left of j_{0,1} = 2.404826
+    for v, x in ((1.3564e-4, 2.404564), (3.13e-3, 2.398804)):
+        pt = level_point(_spec(LevelFamily.bessel(0), v))
+        assert pt.s.im == 0.0
+        assert pt.s.re == pytest.approx(x, abs=1e-6)
+        assert pt.residual <= 1e-10
+
+
 def test_jacobi_sn_half():
     fam = LevelFamily.jacobi("SN", 0.5)
     p = level_point(LevelCurveSpec(fam, 0.5, "SECOND", (12, 1)))
