@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import AccuracyError, ConfigError, DegeneracyError, DomainError
-from .numerics import adaptive_quadrature, bisect_root, expand_bracket, newton_polish
+from .numerics import adaptive_quadrature, bisect_root, expand_bracket
 from .specfun import hardy_z, zeta_mod_sq
 
 EULER_GAMMA = 0.5772156649015329
@@ -86,12 +86,6 @@ class LadderModel:
             raise DomainError(f"asymptotic ladder needs T > e^2, got {t}")
         return t - (1.0 - EULER_GAMMA) * t / math.log(t)
 
-    def derivative(self, t: float) -> float:
-        if self.kind == "AFFINE":
-            return 1.0
-        ln = math.log(t)
-        return 1.0 - (1.0 - EULER_GAMMA) * (ln - 1.0) / (ln * ln)
-
     @classmethod
     def parse(cls, text: str) -> "LadderModel":
         text = text.strip().lower()
@@ -154,12 +148,8 @@ def reverse_iterate(seg: Segment, model: LadderModel) -> Segment:
             return model.value(t) - target
 
         lo, hi = expand_bracket(h, target, max(target * 1.25, target + 1.0))
-        if lo == hi:
-            root = lo
-        else:
-            root = bisect_root(h, lo, hi)
-            root = newton_polish(h, model.derivative, root, lo, hi)
-        if abs(model.value(root) - target) > 1e-10 * max(1.0, abs(target)):
+        root = lo if lo == hi else bisect_root(h, lo, hi)
+        if not abs(model.value(root) - target) <= 1e-10 * max(1.0, abs(target)):
             raise AccuracyError(
                 f"ladder inversion residual too large at target {target}",
                 achieved=model.value(root),
@@ -170,14 +160,16 @@ def reverse_iterate(seg: Segment, model: LadderModel) -> Segment:
 
 
 def _mean_crossing(fn: Callable[[float], float], seg: Segment, mean: float,
-                   cells: int, offset: float = 0.0) -> tuple[float, bool]:
-    """Leftmost point where fn crosses its mean on seg; flag if none.
+                   cells: int, offset: float = 0.0) -> float:
+    """Leftmost point where fn crosses its mean on seg.
 
     Scans a uniform grid (optionally phase-shifted for degeneracy
     retries), doubling up to 3 times, then bisects inside the first
-    sign-change cell. The grid points depend only on seg, cells and
-    offset, so in build_mother_instance the three weights' scans visit
-    the same t values and share one Z^2 evaluation at each.
+    sign-change cell. Raises DegeneracyError when fn is numerically
+    constant or no grid brackets a crossing. The grid points depend only
+    on seg, cells and offset, so in build_mother_instance the three
+    weights' scans visit the same t values and share one Z^2 evaluation
+    at each.
     """
     scale = max(abs(mean), 1e-300)
 
@@ -204,13 +196,11 @@ def _mean_crossing(fn: Callable[[float], float], seg: Segment, mean: float,
             if t_i >= seg.hi:
                 break
         if h_max <= 1e-13 * scale:
-            return seg.midpoint, True  # numerically constant integrand
+            raise DegeneracyError("mean-value integrand is numerically constant")
         if bracket is not None:
             lo, hi = bracket
-            if lo == hi:
-                return lo, False
-            return bisect_root(h, lo, hi), False
-    return seg.midpoint, True
+            return lo if lo == hi else bisect_root(h, lo, hi)
+    raise DegeneracyError(f"no crossing of the mean {mean!r} on [{seg.lo}, {seg.hi}]")
 
 
 def weighted_integrand(l: int, model: LadderModel,
@@ -240,12 +230,12 @@ def mean_value_abscissa(l: int, lifted: Segment, model: LadderModel,
                         grid_offset: float = 0.0,
                         mean: float | None = None, *,
                         z_sq: Callable[[float], float] | None = None
-                        ) -> tuple[float, bool]:
+                        ) -> tuple[float, float]:
     """Point alpha1 in lifted where Z^2 f_l(phi1) equals its average.
 
-    Returns (alpha1, flagged); flagged means the integrand was
-    numerically constant and the midpoint rule was applied. The solved
-    point is certified to |G(alpha1) - mean| <= 1e-10 mean; the residual
+    Returns (alpha1, placement residual |G(alpha1) - mean| / mean).
+    Raises DegeneracyError where _mean_crossing finds no crossing, and
+    AccuracyError unless the residual is <= 1e-10; the residual
     floor is the t-axis float spacing times the local slope, so very
     large t would need a looser bound (the desk-scale grid stays an
     order of magnitude clear of it). z_sq, as in weighted_integrand,
@@ -255,15 +245,14 @@ def mean_value_abscissa(l: int, lifted: Segment, model: LadderModel,
     g = weighted_integrand(l, model, z_sq)
     if mean is None:
         mean = weighted_mean(l, lifted, model, rel_tol, z_sq=z_sq)
-    alpha1, flagged = _mean_crossing(g, lifted, mean, cells, grid_offset)
-    if not flagged:
-        resid = abs(g(alpha1) - mean)
-        if resid > 1e-10 * max(abs(mean), 1e-300):
-            raise AccuracyError(
-                f"mean-value residual {resid:.3e} too large for weight {l}",
-                achieved=resid,
-            )
-    return alpha1, flagged
+    alpha1 = _mean_crossing(g, lifted, mean, cells, grid_offset)
+    resid = abs(g(alpha1) - mean) / max(abs(mean), 1e-300)
+    if not resid <= 1e-10:
+        raise AccuracyError(
+            f"mean-value residual {resid:.3e} too large for weight {l}",
+            achieved=resid,
+        )
+    return alpha1, resid
 
 
 @dataclass(frozen=True)
@@ -279,6 +268,8 @@ class MotherInstance:
     additivity) and cross-checked against an independent quadrature of
     G_2 (additivity_residual); theta = (a1 + a3)/a2 is then exactly 1
     for this construction, which is what crossbreeding eliminates.
+    Every residual here passed its gate when the instance was built,
+    so mean_flags, kept for report readers, is always all False.
     """
 
     U: float
@@ -290,9 +281,12 @@ class MotherInstance:
     g: tuple[float, float, float]
     a: tuple[float, float, float]
     theta: float
-    mean_flags: tuple[bool, bool, bool]
     placement_residual: tuple[float, float, float]
     additivity_residual: float
+
+    @property
+    def mean_flags(self) -> tuple[bool, bool, bool]:
+        return (False, False, False)
 
     @property
     def max_a(self) -> float:
@@ -308,10 +302,12 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
                           quad_rel: float = 1e-11) -> MotherInstance:
     """Assemble the three averaged terms and their common factor theta.
 
-    Raises unless no mean was flagged, |a1 - a2 + a3| <= 1e-8 max a_l
-    (the numerical consequence of f1 - f2 + f3 = 0) and the quadrature
-    additivity cross-check on the middle term holds. mode must be
-    "EXACT"; it stays only for callers that pass it positionally.
+    Raises DegeneracyError where a weight has no usable crossing, and
+    AccuracyError unless each placement residual is <= 1e-10,
+    |a1 - a2 + a3| <= 1e-8 max a_l (the numerical consequence of
+    f1 - f2 + f3 = 0) and the quadrature additivity cross-check on the
+    middle term holds to 10 quad_rel; NaN fails every gate. mode must
+    be "EXACT"; it stays only for callers that pass it positionally.
 
     The three mean quadratures and the crossing phase (three scans,
     their bisections, the zero check and the placement check) share one
@@ -336,22 +332,24 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
     means[2] = means[1] + means[3]
     mean2_direct = weighted_mean(2, lifted, model, quad_rel, z_sq=z_sq)
     additivity_residual = abs(means[2] - mean2_direct) / max(mean2_direct, 1e-300)
+    if not additivity_residual <= 10.0 * quad_rel:
+        raise AccuracyError(
+            f"middle-term additivity cross-check failed: {additivity_residual:.3e}"
+        )
 
     alpha1 = []
     alpha0 = []
     c_vals = []
     g_vals = []
     a_vals = []
-    flags = []
     placement = []
     for l in (1, 2, 3):
         target = means[l]
         a1 = None
-        flagged = False
         last_err: AccuracyError | None = None
         for retry in range(4):
             try:
-                a1, flagged = mean_value_abscissa(
+                a1, resid = mean_value_abscissa(
                     l, lifted, model, rel_tol=quad_rel,
                     grid_offset=0.5 * retry / 4.0, mean=target, z_sq=z_sq,
                 )
@@ -375,14 +373,12 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
         if gl <= 0.0:
             raise DegeneracyError(f"weight {l} vanished at alpha0 = {a0}")
         cl = math.sqrt(target / gl)
-        direct = weighted_integrand(l, model, z_sq)(a1)
         alpha1.append(a1)
         alpha0.append(a0)
         c_vals.append(cl)
         g_vals.append(gl)
         a_vals.append(target)
-        flags.append(flagged)
-        placement.append(abs(direct - target) / max(target, 1e-300))
+        placement.append(resid)
 
     a1_, a2_, a3_ = a_vals
     if a2_ <= 0.0:
@@ -392,20 +388,14 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
         U=U, L=L, model=model,
         alpha1=tuple(alpha1), alpha0=tuple(alpha0),
         c=tuple(c_vals), g=tuple(g_vals), a=tuple(a_vals),
-        theta=theta, mean_flags=tuple(flags),
+        theta=theta,
         placement_residual=tuple(placement),
         additivity_residual=additivity_residual,
     )
-    if any(flags):
-        raise DegeneracyError("mean-value flag raised")
-    if inst.identity_residual > 1e-8 * inst.max_a:
+    if not inst.identity_residual <= 1e-8 * inst.max_a:
         raise AccuracyError(
             f"three-term identity residual {inst.identity_residual:.3e} "
             f"exceeds 1e-8 * {inst.max_a:.3e}"
-        )
-    if additivity_residual > 10.0 * quad_rel:
-        raise AccuracyError(
-            f"middle-term additivity cross-check failed: {additivity_residual:.3e}"
         )
     return inst
 

@@ -92,23 +92,22 @@ def make_transmutation(tid: str, inst: MotherInstance,
     n1, n2 = TRANSMUTATION_SLOTS[tid]
     b = []
     for l in (1, 2, 3):
-        p1 = assign.point(n1, l)
-        p2 = assign.point(n2, l)
-        w1 = p1.spec.family.abs_value(p1.s.to_complex())
-        w2 = p2.spec.family.abs_value(p2.s.to_complex())
+        w1 = assign.point(n1, l).modulus
+        w2 = assign.point(n2, l).modulus
         if l == 3:
             b_l = w1 * (w2 * w2)
         else:
             b_l = (w1 * w1) * (w2 * w2)
         a_l = inst.a[l - 1]
-        if abs(b_l - a_l) > tol * a_l:
+        rel = abs(b_l - a_l) / a_l
+        if not rel <= tol:
             raise AccuracyError(
-                f"transmutation {tid}, term l={l}: |b - a| = "
-                f"{abs(b_l - a_l):.3e} exceeds {tol:.1e} * {a_l:.6g}"
+                f"transmutation {tid}, term l={l}: |b - a| / a = "
+                f"{rel:.3e} exceeds {tol:.1e} (a = {a_l:.6g})"
             )
         b.append(b_l)
     out = TransmutationInstance(id=tid, b=tuple(b), theta=inst.theta)
-    if out.three_term_residual > tol:
+    if not out.three_term_residual <= tol:
         raise AccuracyError(
             f"transmutation {tid}: three-term residual {out.three_term_residual:.3e}"
         )

@@ -144,41 +144,39 @@ class LevelCurveSpec:
 
 @dataclass(frozen=True)
 class LevelPoint:
-    """A certified solution of |F(s)| = target."""
+    """A certified solution of |F(s)| = target, with the modulus |F(s)|."""
 
     spec: LevelCurveSpec
     s: ComplexPoint
-    residual: float
+    modulus: float
+
+    @property
+    def residual(self) -> float:
+        return abs(self.modulus - self.spec.target)
 
 
 RESIDUAL_TOL = 1e-10
 
 
 def _certify(spec: LevelCurveSpec, s: complex, res_tol: float) -> LevelPoint:
-    resid = abs(spec.family.abs_value(s) - spec.target)
-    if resid > res_tol * max(1.0, spec.target):
+    point = LevelPoint(spec=spec, s=ComplexPoint.from_complex(s),
+                       modulus=spec.family.abs_value(s))
+    if not point.residual <= res_tol * max(1.0, spec.target):
         raise AccuracyError(
-            f"level residual {resid:.3e} exceeds tolerance for "
+            f"level residual {point.residual:.3e} exceeds tolerance for "
             f"{spec.family.describe()} target {spec.target:.6g}",
-            achieved=resid,
+            achieved=point.residual,
         )
-    return LevelPoint(spec=spec, s=ComplexPoint.from_complex(s), residual=resid)
+    return point
 
 
 def _bisect_on_path(fval: Callable[[float], float], v: float,
                     lo: float, hi: float) -> float | None:
     """Root of fval(x) = v on [lo, hi] if the endpoints bracket it."""
-    def m(x: float) -> float:
-        return fval(x) - v
-
-    mlo, mhi = m(lo), m(hi)
-    if mlo == 0.0:
-        return lo
-    if mhi == 0.0:
-        return hi
-    if (mlo < 0.0) == (mhi < 0.0):
+    try:
+        return bisect_root(lambda x: fval(x) - v, lo, hi)
+    except SearchError:
         return None
-    return bisect_root(m, lo, hi)
 
 
 def _scan_first_bracket(fval: Callable[[float], float], v: float,

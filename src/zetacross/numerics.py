@@ -8,7 +8,7 @@ caps, no randomness. Identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import AccuracyError, SearchError
 
@@ -37,13 +37,6 @@ class NeumaierSum:
     @property
     def value(self) -> float:
         return self.s + self.c
-
-
-def neumaier_sum(values: Sequence[float]) -> float:
-    acc = NeumaierSum()
-    for v in values:
-        acc.add(v)
-    return acc.value
 
 
 # --------------------------------------------------------------------------
@@ -75,7 +68,7 @@ def bernoulli(n: int) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# Bracketed root finding: bisection with optional Newton polish
+# Bracketed root finding: bracket expansion and bisection to collapse
 # --------------------------------------------------------------------------
 
 def expand_bracket(f: Callable[[float], float], lo: float, hi: float,
@@ -125,28 +118,6 @@ def bisect_root(f: Callable[[float], float], a: float, b: float,
         else:
             b, fb = m, fm
     return a if abs(fa) <= abs(fb) else b
-
-
-def newton_polish(f: Callable[[float], float], df: Callable[[float], float],
-                  x0: float, lo: float, hi: float, steps: int = 4) -> float:
-    """A few guarded Newton steps inside [lo, hi]; returns best iterate."""
-    x = x0
-    best = x0
-    best_f = abs(f(x0))
-    for _ in range(steps):
-        d = df(x)
-        if d == 0.0:
-            break
-        x_new = x - f(x) / d
-        if not (lo <= x_new <= hi):
-            break
-        x = x_new
-        fx = abs(f(x))
-        if fx < best_f:
-            best, best_f = x, fx
-        if fx == 0.0:
-            break
-    return best
 
 
 # --------------------------------------------------------------------------

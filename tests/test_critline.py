@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from zetacross import critline
 from zetacross.critline import (
     EULER_GAMMA,
     LadderModel,
@@ -19,7 +20,8 @@ from zetacross.critline import (
     weighted_mean,
     _mean_crossing,
 )
-from zetacross.errors import ConfigError, DomainError
+from zetacross.errors import AccuracyError, ConfigError, DegeneracyError, DomainError
+from zetacross.harness import RunConfig, run
 from zetacross.specfun import zeta
 
 from oracles import simpson_refine_oracle, zeta_mod_sq_oracle
@@ -83,7 +85,6 @@ def test_hl_integral_rejects_loose_tolerance_floor():
 def test_ladder_affine():
     m = LadderModel("AFFINE", 2.0)
     assert m.value(100.0) == 98.0
-    assert m.derivative(100.0) == 1.0
 
 
 def test_ladder_asymptotic_formula_and_monotone():
@@ -131,17 +132,16 @@ def test_reverse_iterate_round_trip_asymptotic():
 
 def test_mean_crossing_constant_integrand_flagged():
     seg = Segment(3.0, 4.0)
-    alpha, flagged = _mean_crossing(lambda t: 2.5, seg, 2.5, cells=64)
-    assert flagged
-    assert alpha == seg.midpoint
+    with pytest.raises(DegeneracyError):
+        _mean_crossing(lambda t: 2.5, seg, 2.5, cells=64)
 
 
 def test_mean_value_abscissa_interior_and_certified():
     m = LadderModel("ASYMPTOTIC")
     lifted = reverse_iterate(base_segment(math.pi / 8, 50), m)
     for l in (1, 2, 3):
-        alpha, flagged = mean_value_abscissa(l, lifted, m)
-        assert not flagged
+        alpha, resid = mean_value_abscissa(l, lifted, m)
+        assert resid <= 1e-10
         assert lifted.lo < alpha < lifted.hi
         g = weighted_integrand(l, m)
         mean = weighted_mean(l, lifted, m)
@@ -218,8 +218,8 @@ def test_mother_instance_alpha1_matches_unshared_crossing():
         inst = build_mother_instance(math.pi / 8, L, m, "EXACT")
         lifted = reverse_iterate(base_segment(math.pi / 8, L), m)
         for l in (1, 2, 3):
-            alpha, flagged = mean_value_abscissa(l, lifted, m, mean=inst.a[l - 1])
-            assert not flagged
+            alpha, resid = mean_value_abscissa(l, lifted, m, mean=inst.a[l - 1])
+            assert resid == inst.placement_residual[l - 1]
             assert alpha == inst.alpha1[l - 1]
 
 
@@ -239,3 +239,19 @@ def test_mother_instance_affine_identity_ladder():
     for a1, a0 in zip(inst.alpha1, inst.alpha0):
         assert a1 == a0
         assert base.lo < a0 < base.hi
+
+
+def test_additivity_gate_rejects_nan(monkeypatch):
+    # a NaN middle-term quadrature must fail the additivity gate, not
+    # pass it and leave the window certified
+    direct = critline.weighted_mean
+
+    def nan_for_middle(l, *args, **kwargs):
+        return math.nan if l == 2 else direct(l, *args, **kwargs)
+
+    monkeypatch.setattr(critline, "weighted_mean", nan_for_middle)
+    with pytest.raises(AccuracyError, match="additivity"):
+        build_mother_instance(math.pi / 8, 20, LadderModel("ASYMPTOTIC"))
+    entry = run(RunConfig(L_list=(20,)))["payload"]["runs"][0]
+    assert entry["certified"] is False
+    assert entry["error"].startswith("AccuracyError: middle-term additivity")

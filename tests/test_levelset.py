@@ -6,7 +6,7 @@ import math
 import pytest
 
 from zetacross.critline import LadderModel, build_mother_instance, gen1_target
-from zetacross.errors import DomainError, SearchError
+from zetacross.errors import AccuracyError, DomainError, SearchError
 from zetacross.levelset import (
     ALL_SLOTS,
     LevelCurveSpec,
@@ -175,3 +175,9 @@ def test_assignment_error_carries_slot():
     huge = dataclasses.replace(inst, c=(1e30,) + inst.c[1:])
     with pytest.raises(SearchError, match=r"slot \(n=11, l=1\)"):
         build_level_assignments(huge, DEFAULT_PARAMS)
+
+
+def test_level_residual_gate_rejects_nan(monkeypatch):
+    monkeypatch.setattr(LevelFamily, "abs_value", lambda self, s: math.nan)
+    with pytest.raises(AccuracyError):
+        level_point(_spec(LevelFamily.power(2), 4.0))
