@@ -9,7 +9,6 @@ from .critline import (  # noqa: E402,F401
     Segment,
     base_segment,
     build_mother_instance,
-    hl_integral,
     mean_value_abscissa,
     reverse_iterate,
 )

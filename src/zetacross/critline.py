@@ -24,8 +24,10 @@ from .specfun import hardy_z, zeta_mod_sq
 EULER_GAMMA = 0.5772156649015329
 L_MIN = 10
 U_MAX = 0.25 * math.pi
+QUAD_REL = 1e-11  # every mean quadrature; middle-term additivity holds to 10 QUAD_REL
 
 _MIN_ASYMPTOTIC_T = math.e ** 2
+_CROSSING_CELLS = 1024  # first grid of the mean-crossing scan
 _Z_MEMO_SIZE = 2048  # > the ~1,530 distinct t of a window; caps a runaway quadrature
 
 
@@ -44,10 +46,6 @@ class Segment:
     @property
     def length(self) -> float:
         return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
 
 def base_segment(U: float, L: int) -> Segment:
@@ -131,15 +129,6 @@ def gen1_target(l: int, alpha0: float) -> float:
     raise DomainError(f"weight index must be 1, 2 or 3, got {l}")
 
 
-def hl_integral(seg: Segment, rel_tol: float = 1e-11) -> float:
-    """Integral of Z(t)^2 over seg by adaptive panels."""
-    if rel_tol < 1e-12:
-        raise ConfigError(f"rel_tol below 1e-12 is not supported, got {rel_tol}")
-    if seg.length == 0.0:
-        return 0.0
-    return adaptive_quadrature(zeta_mod_sq, seg.lo, seg.hi, rel_tol)
-
-
 def reverse_iterate(seg: Segment, model: LadderModel) -> Segment:
     """Preimage segment [x, y] with phi1(x) = seg.lo, phi1(y) = seg.hi."""
 
@@ -218,7 +207,7 @@ def weighted_integrand(l: int, model: LadderModel,
 
 
 def weighted_mean(l: int, lifted: Segment, model: LadderModel,
-                  rel_tol: float = 1e-11, *,
+                  rel_tol: float = QUAD_REL, *,
                   z_sq: Callable[[float], float] | None = None) -> float:
     """Average of G_l over lifted by adaptive panels; z_sq as in weighted_integrand."""
     g = weighted_integrand(l, model, z_sq)
@@ -226,26 +215,26 @@ def weighted_mean(l: int, lifted: Segment, model: LadderModel,
 
 
 def mean_value_abscissa(l: int, lifted: Segment, model: LadderModel,
-                        rel_tol: float = 1e-11, cells: int = 1024,
                         grid_offset: float = 0.0,
                         mean: float | None = None, *,
                         z_sq: Callable[[float], float] | None = None
                         ) -> tuple[float, float]:
     """Point alpha1 in lifted where Z^2 f_l(phi1) equals its average.
 
-    Returns (alpha1, placement residual |G(alpha1) - mean| / mean).
-    Raises DegeneracyError where _mean_crossing finds no crossing, and
+    Returns (alpha1, placement residual |G(alpha1) - mean| / mean); the
+    scan for alpha1 starts on a grid of _CROSSING_CELLS cells. Raises
+    DegeneracyError where _mean_crossing finds no crossing, and
     AccuracyError unless the residual is <= 1e-10; the residual
     floor is the t-axis float spacing times the local slope, so very
     large t would need a looser bound (the desk-scale grid stays an
     order of magnitude clear of it). z_sq, as in weighted_integrand,
     serves the crossing search, the residual check and, when mean is
-    None, the mean's quadrature.
+    None, the mean's quadrature to QUAD_REL.
     """
     g = weighted_integrand(l, model, z_sq)
     if mean is None:
-        mean = weighted_mean(l, lifted, model, rel_tol, z_sq=z_sq)
-    alpha1 = _mean_crossing(g, lifted, mean, cells, grid_offset)
+        mean = weighted_mean(l, lifted, model, z_sq=z_sq)
+    alpha1 = _mean_crossing(g, lifted, mean, _CROSSING_CELLS, grid_offset)
     resid = abs(g(alpha1) - mean) / max(abs(mean), 1e-300)
     if not resid <= 1e-10:
         raise AccuracyError(
@@ -298,15 +287,14 @@ class MotherInstance:
 
 
 def build_mother_instance(U: float, L: int, model: LadderModel,
-                          mode: str = "EXACT",
-                          quad_rel: float = 1e-11) -> MotherInstance:
+                          mode: str = "EXACT") -> MotherInstance:
     """Assemble the three averaged terms and their common factor theta.
 
     Raises DegeneracyError where a weight has no usable crossing, and
     AccuracyError unless each placement residual is <= 1e-10,
     |a1 - a2 + a3| <= 1e-8 max a_l (the numerical consequence of
     f1 - f2 + f3 = 0) and the quadrature additivity cross-check on the
-    middle term holds to 10 quad_rel; NaN fails every gate. mode must
+    middle term holds to 10 QUAD_REL; NaN fails every gate. mode must
     be "EXACT"; it stays only for callers that pass it positionally.
 
     The three mean quadratures and the crossing phase (three scans,
@@ -326,13 +314,13 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
         return v * v
 
     means = {
-        1: weighted_mean(1, lifted, model, quad_rel, z_sq=z_sq),
-        3: weighted_mean(3, lifted, model, quad_rel, z_sq=z_sq),
+        1: weighted_mean(1, lifted, model, z_sq=z_sq),
+        3: weighted_mean(3, lifted, model, z_sq=z_sq),
     }
     means[2] = means[1] + means[3]
-    mean2_direct = weighted_mean(2, lifted, model, quad_rel, z_sq=z_sq)
+    mean2_direct = weighted_mean(2, lifted, model, z_sq=z_sq)
     additivity_residual = abs(means[2] - mean2_direct) / max(mean2_direct, 1e-300)
-    if not additivity_residual <= 10.0 * quad_rel:
+    if not additivity_residual <= 10.0 * QUAD_REL:
         raise AccuracyError(
             f"middle-term additivity cross-check failed: {additivity_residual:.3e}"
         )
@@ -350,8 +338,8 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
         for retry in range(4):
             try:
                 a1, resid = mean_value_abscissa(
-                    l, lifted, model, rel_tol=quad_rel,
-                    grid_offset=0.5 * retry / 4.0, mean=target, z_sq=z_sq,
+                    l, lifted, model, grid_offset=0.5 * retry / 4.0,
+                    mean=target, z_sq=z_sq,
                 )
             except AccuracyError as err:
                 last_err = err  # steep crossing; a shifted grid finds another
@@ -401,8 +389,8 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
 
 
 __all__ = [
-    "EULER_GAMMA", "L_MIN", "U_MAX", "Segment", "base_segment",
+    "EULER_GAMMA", "L_MIN", "QUAD_REL", "U_MAX", "Segment", "base_segment",
     "LadderModel", "weight_fn", "gen1_target",
-    "hl_integral", "reverse_iterate", "mean_value_abscissa",
+    "reverse_iterate", "mean_value_abscissa",
     "MotherInstance", "build_mother_instance",
 ]

@@ -45,7 +45,7 @@ CROSSBREED_PAIRS = (
     ("T3", "T4"), ("T3", "T5"), ("T4", "T5"),
 )
 
-TERM_EQUALITY_TOL = 1e-8
+TERM_EQUALITY_TOL = 1e-8  # relative; also bounds the ten crossbred residuals in run
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,10 @@ class MetaEquation:
 
 
 def make_transmutation(tid: str, inst: MotherInstance,
-                       assign: LevelAssignment,
-                       tol: float = TERM_EQUALITY_TOL) -> TransmutationInstance:
+                       assign: LevelAssignment) -> TransmutationInstance:
     """Assemble b_l from the assignment's certified points and certify
-    term equality b_l = a_l and the three-term identity."""
+    term equality b_l = a_l and the three-term identity, each to
+    TERM_EQUALITY_TOL relative, raising AccuracyError past it."""
     if tid not in TRANSMUTATION_SLOTS:
         raise DomainError(f"unknown transmutation id {tid!r}")
     n1, n2 = TRANSMUTATION_SLOTS[tid]
@@ -100,14 +100,14 @@ def make_transmutation(tid: str, inst: MotherInstance,
             b_l = (w1 * w1) * (w2 * w2)
         a_l = inst.a[l - 1]
         rel = abs(b_l - a_l) / a_l
-        if not rel <= tol:
+        if not rel <= TERM_EQUALITY_TOL:
             raise AccuracyError(
                 f"transmutation {tid}, term l={l}: |b - a| / a = "
-                f"{rel:.3e} exceeds {tol:.1e} (a = {a_l:.6g})"
+                f"{rel:.3e} exceeds {TERM_EQUALITY_TOL:.1e} (a = {a_l:.6g})"
             )
         b.append(b_l)
     out = TransmutationInstance(id=tid, b=tuple(b), theta=inst.theta)
-    if not out.three_term_residual <= tol:
+    if not out.three_term_residual <= TERM_EQUALITY_TOL:
         raise AccuracyError(
             f"transmutation {tid}: three-term residual {out.three_term_residual:.3e}"
         )

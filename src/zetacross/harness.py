@@ -14,10 +14,12 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 from . import __version__
 from .critline import (
     L_MIN,
+    QUAD_REL,
     LadderModel,
     MotherInstance,
     U_MAX,
@@ -25,6 +27,7 @@ from .critline import (
 )
 from .equations import (
     CROSSBREED_PAIRS,
+    TERM_EQUALITY_TOL,
     TRANSMUTATION_IDS,
     MetaEquation,
     TransmutationInstance,
@@ -32,8 +35,8 @@ from .equations import (
     make_transmutation,
 )
 from .errors import ConfigError, DomainError, ZetacrossError
-from .levelset import (LevelAssignment, build_level_assignments, level_point,
-                       spec_for_slot, trace_level_arc)
+from .levelset import (RESIDUAL_TOL, LevelAssignment, build_level_assignments,
+                       level_point, spec_for_slot, trace_level_arc)
 from .params import DEFAULT_PARAMS, ParameterSet
 
 SCHEMA_VERSION = 2
@@ -63,15 +66,16 @@ INTERPRETATION_NOTES = [
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Inputs for one certification run."""
+    """Inputs for one certification run. The certified bounds quad_rel,
+    level_res and eq_res are fixed class constants, echoed in the report."""
 
     U: float = math.pi / 8.0
     L_list: tuple[int, ...] = (20, 100, 500)
     ladder: LadderModel = field(default_factory=LadderModel)
     params: ParameterSet = DEFAULT_PARAMS
-    quad_rel: float = 1e-11
-    level_res: float = 1e-10
-    eq_res: float = 1e-8
+    quad_rel: ClassVar[float] = QUAD_REL
+    level_res: ClassVar[float] = RESIDUAL_TOL
+    eq_res: ClassVar[float] = TERM_EQUALITY_TOL
 
     def __post_init__(self) -> None:
         if not (0.0 < self.U < U_MAX):
@@ -81,11 +85,6 @@ class RunConfig:
         for L in self.L_list:
             if not isinstance(L, int) or L < L_MIN:
                 raise ConfigError(f"every L must be an integer >= {L_MIN}, got {L}")
-        for name, tol in (("quad_rel", self.quad_rel),
-                          ("level_res", self.level_res),
-                          ("eq_res", self.eq_res)):
-            if not (tol > 0.0 and math.isfinite(tol)):
-                raise ConfigError(f"{name} must be positive, got {tol}")
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -95,9 +94,6 @@ def serialize_config(config: RunConfig) -> str:
         f"U = {config.U!r}",
         "L_list = " + ",".join(str(L) for L in config.L_list),
         f"ladder = {config.ladder.config_string()}",
-        f"quad_rel = {config.quad_rel!r}",
-        f"level_res = {config.level_res!r}",
-        f"eq_res = {config.eq_res!r}",
         "n = " + ",".join(str(v) for v in config.params.n),
         "p = " + ",".join(str(v) for v in config.params.p),
         "k = " + ",".join(repr(v) for v in config.params.k),
@@ -127,8 +123,6 @@ def parse_config(text: str) -> RunConfig:
                 kwargs["L_list"] = tuple(int(x) for x in val.split(",") if x)
             elif key == "ladder":
                 kwargs["ladder"] = LadderModel.parse(val)
-            elif key in ("quad_rel", "level_res", "eq_res"):
-                kwargs[key] = float(val)
             elif key == "n":
                 param_parts["n"] = tuple(int(x) for x in val.split(",") if x)
             elif key == "p":
@@ -217,11 +211,11 @@ def run(config: RunConfig) -> dict:
 
     Every certificate but the last is a gate that raises where its value
     is made: the mother instance's placement, identity and additivity
-    residuals, every level residual within level_res, and each
-    transmutation's term equality and three-term identity within eq_res.
-    A window is certified when it raises none of them and all ten
-    equation residuals lie within eq_res. Module errors are recorded and
-    the run continues with the next L.
+    residuals, every level residual within RESIDUAL_TOL, and each
+    transmutation's term equality and three-term identity within
+    TERM_EQUALITY_TOL. A window is certified when it raises none of them
+    and all ten equation residuals lie within TERM_EQUALITY_TOL. Module
+    errors are recorded and the run continues with the next L.
     """
     runs = []
     timings = {}
@@ -230,11 +224,10 @@ def run(config: RunConfig) -> dict:
         t0 = time.perf_counter()
         entry: dict = {"U": config.U, "L": L}
         try:
-            inst = build_mother_instance(config.U, L, config.ladder,
-                                         quad_rel=config.quad_rel)
-            assign = build_level_assignments(inst, config.params, config.level_res)
+            inst = build_mother_instance(config.U, L, config.ladder)
+            assign = build_level_assignments(inst, config.params)
             trans = {
-                tid: make_transmutation(tid, inst, assign, config.eq_res)
+                tid: make_transmutation(tid, inst, assign)
                 for tid in TRANSMUTATION_IDS
             }
             eqs = [crossbreed(trans[x], trans[y]) for (x, y) in CROSSBREED_PAIRS]
@@ -242,7 +235,7 @@ def run(config: RunConfig) -> dict:
             entry["level_points"] = _level_payload(assign)
             entry["transmutations"] = _transmutation_payload(inst, trans)
             entry["meta_equations"] = _equation_payload(eqs)
-            certified = all(e.residual <= config.eq_res for e in eqs)
+            certified = all(e.residual <= TERM_EQUALITY_TOL for e in eqs)
             entry["certified"] = certified
             all_ok = all_ok and certified
         except ZetacrossError as err:
@@ -307,14 +300,13 @@ def emit_atlas(config: RunConfig, slots: list[tuple[int, int]], out_dir: str | P
         raise ConfigError(f"count must be nonnegative, got {count}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    inst = build_mother_instance(config.U, config.L_list[0], config.ladder,
-                                 quad_rel=config.quad_rel)
+    inst = build_mother_instance(config.U, config.L_list[0], config.ladder)
     written: list[Path] = []
     warnings: list[str] = []
     for (n, l) in slots:
         try:
             spec = spec_for_slot(n, l, inst, config.params)
-            start = level_point(spec, config.level_res)
+            start = level_point(spec)
         except ZetacrossError as err:
             warnings.append(f"slot ({n},{l}) skipped: {err}")
             continue

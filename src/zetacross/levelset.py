@@ -158,10 +158,10 @@ class LevelPoint:
 RESIDUAL_TOL = 1e-10
 
 
-def _certify(spec: LevelCurveSpec, s: complex, res_tol: float) -> LevelPoint:
+def _certify(spec: LevelCurveSpec, s: complex) -> LevelPoint:
     point = LevelPoint(spec=spec, s=ComplexPoint.from_complex(s),
                        modulus=spec.family.abs_value(s))
-    if not point.residual <= res_tol * max(1.0, spec.target):
+    if not point.residual <= RESIDUAL_TOL * max(1.0, spec.target):
         raise AccuracyError(
             f"level residual {point.residual:.3e} exceeds tolerance for "
             f"{spec.family.describe()} target {spec.target:.6g}",
@@ -342,10 +342,11 @@ _FAMILIES = {
 _FAMILY_KIND_BY_SLOT = {n: kind for kind, fam in _FAMILIES.items() for n in fam.slots}
 
 
-def level_point(spec: LevelCurveSpec, res_tol: float = RESIDUAL_TOL) -> LevelPoint:
-    """Solve |F(s)| = target on the family's canonical paths."""
+def level_point(spec: LevelCurveSpec) -> LevelPoint:
+    """Solve |F(s)| = target on the family's canonical paths and certify
+    the point to RESIDUAL_TOL max(1, target), raising AccuracyError past it."""
     fam = spec.family
-    return _certify(spec, fam._def.solve(fam, spec.target), res_tol)
+    return _certify(spec, fam._def.solve(fam, spec.target))
 
 
 # --------------------------------------------------------------------------
@@ -472,14 +473,13 @@ class LevelAssignment:
         return self.points[(n, l)]
 
 
-def build_level_assignments(inst: MotherInstance, params: ParameterSet,
-                            res_tol: float = RESIDUAL_TOL) -> LevelAssignment:
+def build_level_assignments(inst: MotherInstance, params: ParameterSet) -> LevelAssignment:
     """Solve all thirty loci for one instance; errors carry their slot."""
     points: dict[tuple[int, int], LevelPoint] = {}
     for (n, l) in ALL_SLOTS:
         spec = spec_for_slot(n, l, inst, params)
         try:
-            points[(n, l)] = level_point(spec, res_tol)
+            points[(n, l)] = level_point(spec)
         except (SearchError, AccuracyError) as err:
             raise SearchError(f"slot (n={n}, l={l}): {err}") from err
     return LevelAssignment(points=points)

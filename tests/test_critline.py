@@ -8,11 +8,11 @@ import pytest
 from zetacross import critline
 from zetacross.critline import (
     EULER_GAMMA,
+    QUAD_REL,
     LadderModel,
     Segment,
     base_segment,
     build_mother_instance,
-    hl_integral,
     mean_value_abscissa,
     reverse_iterate,
     weight_fn,
@@ -22,7 +22,8 @@ from zetacross.critline import (
 )
 from zetacross.errors import AccuracyError, ConfigError, DegeneracyError, DomainError
 from zetacross.harness import RunConfig, run
-from zetacross.specfun import zeta
+from zetacross.numerics import adaptive_quadrature
+from zetacross.specfun import zeta, zeta_mod_sq
 
 from oracles import simpson_refine_oracle, zeta_mod_sq_oracle
 
@@ -62,24 +63,24 @@ def test_weights_at_pi_over_8():
     assert weight_fn(3)(x) == pytest.approx(0.7071068, abs=1e-7)
 
 
+def _hl(lo, hi):
+    """Integral of Z(t)^2 over [lo, hi] at the pipeline's quadrature tolerance."""
+    return adaptive_quadrature(zeta_mod_sq, lo, hi, QUAD_REL)
+
+
 def test_hl_integral_degenerate_and_additive():
-    assert hl_integral(Segment(7.0, 7.0)) == 0.0
-    left = hl_integral(Segment(10.0, 15.0))
-    right = hl_integral(Segment(15.0, 20.0))
-    full = hl_integral(Segment(10.0, 20.0))
+    assert _hl(7.0, 7.0) == 0.0
+    left = _hl(10.0, 15.0)
+    right = _hl(15.0, 20.0)
+    full = _hl(10.0, 20.0)
     assert abs(left + right - full) <= 2e-11 * full
 
 
 def test_hl_integral_against_refinement_oracle():
-    got = hl_integral(Segment(0.0, 10.0), 1e-11)
+    got = _hl(0.0, 10.0)
     ref = simpson_refine_oracle(zeta_mod_sq_oracle, 0.0, 10.0, rel=1e-12)
     assert got == pytest.approx(HL_0_10, rel=1e-10)
     assert got == pytest.approx(ref, rel=1e-10)
-
-
-def test_hl_integral_rejects_loose_tolerance_floor():
-    with pytest.raises(ConfigError):
-        hl_integral(Segment(1.0, 2.0), rel_tol=1e-13)
 
 
 def test_ladder_affine():

@@ -47,6 +47,10 @@ def test_config_validation():
         parse_config("mode = EXACT\n")
     with pytest.raises(ConfigError):
         parse_config("seed = 1\n")
+    # so are the certified bounds, which are fixed, even at their own values
+    for line in ("quad_rel = 1e-11", "level_res = 1e-10", "eq_res = 1e-8"):
+        with pytest.raises(ConfigError):
+            parse_config(line + "\n")
     with pytest.raises(ConfigError):
         build_mother_instance(math.pi / 8, 20, LadderModel(), "ASYMPTOTIC")
 
@@ -62,6 +66,11 @@ def test_report_schema_and_completeness(small_report):
     payload = rep["payload"]
     assert set(payload["config"]) == {"U", "L_list", "ladder", "quad_rel",
                                       "level_res", "eq_res", "params"}
+    bounds = (1e-11, 1e-10, 1e-8)
+    conf = payload["config"]
+    assert (conf["quad_rel"], conf["level_res"], conf["eq_res"]) == bounds
+    config = RunConfig()
+    assert (config.quad_rel, config.level_res, config.eq_res) == bounds
     assert payload["certified"] is True
     assert len(payload["runs"]) == 1
     entry = payload["runs"][0]
@@ -154,6 +163,10 @@ def test_cli_verify_and_exit_codes(tmp_path, capsys):
     # out-of-range modulus in a config file -> config error
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n = 1,1,1,1,1,1\np = 0,1,2,0,1,2\nk = 0.5,0.6,0.7,0.5,0.6,1.5\n")
+    code = cli_main(["verify", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    # a config file that sets a certified bound -> config error
+    cfg.write_text("L_list = 20\nquad_rel = 1e-14\n")
     code = cli_main(["verify", "--config", str(cfg), "--out", str(out)])
     assert code == 2
 
