@@ -130,14 +130,18 @@ def gen1_target(l: int, alpha0: float) -> float:
 
 
 def reverse_iterate(seg: Segment, model: LadderModel) -> Segment:
-    """Preimage segment [x, y] with phi1(x) = seg.lo, phi1(y) = seg.hi."""
+    """Preimage segment [x, y] with phi1(x) = seg.lo, phi1(y) = seg.hi.
+
+    Raises DomainError when the preimage has no float width, as a base
+    window narrower than the float spacing at its height does.
+    """
 
     def solve(target: float) -> float:
         def h(t: float) -> float:
             return model.value(t) - target
 
         lo, hi = expand_bracket(h, target, max(target * 1.25, target + 1.0))
-        root = lo if lo == hi else bisect_root(h, lo, hi)
+        root = bisect_root(h, lo, hi)
         if not abs(model.value(root) - target) <= 1e-10 * max(1.0, abs(target)):
             raise AccuracyError(
                 f"ladder inversion residual too large at target {target}",
@@ -145,51 +149,46 @@ def reverse_iterate(seg: Segment, model: LadderModel) -> Segment:
             )
         return root
 
-    return Segment(solve(seg.lo), solve(seg.hi))
+    lifted = Segment(solve(seg.lo), solve(seg.hi))
+    if not lifted.length > 0.0:
+        raise DomainError(f"window [{seg.lo}, {seg.hi}] has no float width")
+    return lifted
 
 
-def _mean_crossing(fn: Callable[[float], float], seg: Segment, mean: float,
-                   cells: int, offset: float = 0.0) -> float:
+def _mean_crossing(fn: Callable[[float], float], seg: Segment, mean: float) -> float:
     """Leftmost point where fn crosses its mean on seg.
 
-    Scans a uniform grid (optionally phase-shifted for degeneracy
-    retries), doubling up to 3 times, then bisects inside the first
-    sign-change cell. Raises DegeneracyError when fn is numerically
-    constant or no grid brackets a crossing. The grid points depend only
-    on seg, cells and offset, so in build_mother_instance the three
-    weights' scans visit the same t values and share one Z^2 evaluation
-    at each.
+    Scans a uniform grid of _CROSSING_CELLS cells, then bisects inside
+    the first cell whose ends straddle the mean or whose left end meets
+    it exactly. Raises DegeneracyError when fn is numerically constant
+    or the grid brackets no crossing. The grid points depend only on
+    seg, so in build_mother_instance the three weights' scans visit the
+    same t values and share one Z^2 evaluation at each.
     """
     scale = max(abs(mean), 1e-300)
 
     def h(t: float) -> float:
         return fn(t) - mean
 
-    for attempt in range(4):
-        n = cells * (2 ** attempt)
-        step = seg.length / n
-        t_prev = seg.lo + offset * step
-        h_prev = h(t_prev)
-        h_max = abs(h_prev)
-        bracket = None
-        for i in range(1, n + 1):
-            t_i = min(seg.lo + (i + offset) * step, seg.hi)
-            h_i = h(t_i)
-            h_max = max(h_max, abs(h_i))
-            if bracket is None:
-                if h_prev == 0.0:
-                    bracket = (t_prev, t_prev)
-                elif (h_prev < 0.0) != (h_i < 0.0):
-                    bracket = (t_prev, t_i)
-            t_prev, h_prev = t_i, h_i
-            if t_i >= seg.hi:
-                break
-        if h_max <= 1e-13 * scale:
-            raise DegeneracyError("mean-value integrand is numerically constant")
-        if bracket is not None:
-            lo, hi = bracket
-            return lo if lo == hi else bisect_root(h, lo, hi)
-    raise DegeneracyError(f"no crossing of the mean {mean!r} on [{seg.lo}, {seg.hi}]")
+    step = seg.length / _CROSSING_CELLS
+    t_prev = seg.lo
+    h_prev = h(t_prev)
+    h_max = abs(h_prev)
+    bracket = None
+    for i in range(1, _CROSSING_CELLS + 1):
+        t_i = min(seg.lo + i * step, seg.hi)
+        h_i = h(t_i)
+        h_max = max(h_max, abs(h_i))
+        if bracket is None and (h_prev == 0.0 or (h_prev < 0.0) != (h_i < 0.0)):
+            bracket = (t_prev, t_i)
+        t_prev, h_prev = t_i, h_i
+        if t_i >= seg.hi:
+            break
+    if h_max <= 1e-13 * scale:
+        raise DegeneracyError("mean-value integrand is numerically constant")
+    if bracket is None:
+        raise DegeneracyError(f"no crossing of the mean {mean!r} on [{seg.lo}, {seg.hi}]")
+    return bisect_root(h, *bracket)
 
 
 def weighted_integrand(l: int, model: LadderModel,
@@ -214,27 +213,22 @@ def weighted_mean(l: int, lifted: Segment, model: LadderModel,
     return adaptive_quadrature(g, lifted.lo, lifted.hi, rel_tol) / lifted.length
 
 
-def mean_value_abscissa(l: int, lifted: Segment, model: LadderModel,
-                        grid_offset: float = 0.0,
-                        mean: float | None = None, *,
-                        z_sq: Callable[[float], float] | None = None
+def mean_value_abscissa(l: int, lifted: Segment, model: LadderModel, mean: float,
+                        *, z_sq: Callable[[float], float] | None = None
                         ) -> tuple[float, float]:
-    """Point alpha1 in lifted where Z^2 f_l(phi1) equals its average.
+    """Point alpha1 in lifted where Z^2 f_l(phi1) equals mean, its average.
 
-    Returns (alpha1, placement residual |G(alpha1) - mean| / mean); the
-    scan for alpha1 starts on a grid of _CROSSING_CELLS cells. Raises
-    DegeneracyError where _mean_crossing finds no crossing, and
-    AccuracyError unless the residual is <= 1e-10; the residual
+    Returns (alpha1, placement residual |G(alpha1) - mean| / mean) for
+    the crossing _mean_crossing finds on its grid of _CROSSING_CELLS
+    cells. Raises DegeneracyError where that scan brackets no crossing,
+    and AccuracyError unless the residual is <= 1e-10; the residual
     floor is the t-axis float spacing times the local slope, so very
     large t would need a looser bound (the desk-scale grid stays an
     order of magnitude clear of it). z_sq, as in weighted_integrand,
-    serves the crossing search, the residual check and, when mean is
-    None, the mean's quadrature to QUAD_REL.
+    serves the crossing search and the residual check.
     """
     g = weighted_integrand(l, model, z_sq)
-    if mean is None:
-        mean = weighted_mean(l, lifted, model, z_sq=z_sq)
-    alpha1 = _mean_crossing(g, lifted, mean, _CROSSING_CELLS, grid_offset)
+    alpha1 = _mean_crossing(g, lifted, mean)
     resid = abs(g(alpha1) - mean) / max(abs(mean), 1e-300)
     if not resid <= 1e-10:
         raise AccuracyError(
@@ -297,8 +291,8 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
     middle term holds to 10 QUAD_REL; NaN fails every gate. mode must
     be "EXACT"; it stays only for callers that pass it positionally.
 
-    The three mean quadratures and the crossing phase (three scans,
-    their bisections, the zero check and the placement check) share one
+    Each weight's crossing is one scan, one bisection and one placement
+    check. The three mean quadratures and the three crossings share one
     Z evaluation per distinct t, through a memo of at most _Z_MEMO_SIZE
     entries that lives for this call only. Every value is the one an
     unshared evaluation would give, bit for bit.
@@ -333,25 +327,7 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
     placement = []
     for l in (1, 2, 3):
         target = means[l]
-        a1 = None
-        last_err: AccuracyError | None = None
-        for retry in range(4):
-            try:
-                a1, resid = mean_value_abscissa(
-                    l, lifted, model, grid_offset=0.5 * retry / 4.0,
-                    mean=target, z_sq=z_sq,
-                )
-            except AccuracyError as err:
-                last_err = err  # steep crossing; a shifted grid finds another
-                continue
-            if abs(z(a1)) >= 1e-12:
-                break
-        else:
-            if last_err is not None:
-                raise last_err
-            raise DegeneracyError(
-                f"abscissa for weight {l} pinned on a zeta zero at {a1}"
-            )
+        a1, resid = mean_value_abscissa(l, lifted, model, target, z_sq=z_sq)
         a0 = model.value(a1)
         if not (base.lo < a0 < base.hi):
             raise AccuracyError(

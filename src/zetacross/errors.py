@@ -39,7 +39,7 @@ class SearchError(ZetacrossError):
 
 
 class DegeneracyError(ZetacrossError):
-    """A construction collapsed (e.g. value pinned on a zeta zero)."""
+    """A construction collapsed (e.g. an integrand that never crosses its mean)."""
 
 
 class ContractError(ZetacrossError):

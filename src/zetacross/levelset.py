@@ -119,7 +119,6 @@ class LevelCurveSpec:
 
     family: LevelFamily
     target: float
-    generation: str  # FIRST | SECOND
     slot: tuple[int, int]  # (n in 3..12, l in 1..3)
 
     def __post_init__(self) -> None:
@@ -133,13 +132,14 @@ class LevelCurveSpec:
                 f"slot {self.slot} requires family {_FAMILY_KIND_BY_SLOT[n]}, "
                 f"got {self.family.kind}"
             )
-        want_gen = "FIRST" if n <= 7 else "SECOND"
-        if self.generation != want_gen:
-            raise DomainError(f"slot {self.slot} is generation {want_gen}")
         if self.family.kind == "JACOBI" and self.family.jacobi_kind != _JACOBI_KIND_BY_L[l]:
             raise DomainError(
                 f"slot {self.slot} requires jacobi kind {_JACOBI_KIND_BY_L[l]}"
             )
+
+    @property
+    def generation(self) -> str:
+        return "FIRST" if self.slot[0] <= 7 else "SECOND"
 
 
 @dataclass(frozen=True)
@@ -452,15 +452,8 @@ def spec_for_slot(n: int, l: int, inst: MotherInstance,
                   params: ParameterSet) -> LevelCurveSpec:
     """Target c_l for the second generation, the unsquared weight value
     h_l at alpha0 for the first."""
-    family = family_for_slot(n, l, params)
-    if n <= 7:
-        target = gen1_target(l, inst.alpha0[l - 1])
-        generation = "FIRST"
-    else:
-        target = inst.c[l - 1]
-        generation = "SECOND"
-    return LevelCurveSpec(family=family, target=target,
-                          generation=generation, slot=(n, l))
+    target = gen1_target(l, inst.alpha0[l - 1]) if n <= 7 else inst.c[l - 1]
+    return LevelCurveSpec(family_for_slot(n, l, params), target, (n, l))
 
 
 @dataclass(frozen=True)

@@ -75,15 +75,14 @@ def expand_bracket(f: Callable[[float], float], lo: float, hi: float,
                    max_expand: int = 60) -> tuple[float, float]:
     """Expand [lo, hi] geometrically to the right until f changes sign.
 
-    f(lo) may be zero (treated as a sign endpoint). Raises SearchError
-    when widen-and-retry is exhausted.
+    An end where f is exactly zero counts as a sign change, so the
+    result always suits bisect_root. Raises SearchError when max_expand
+    widenings find no sign change.
     """
     flo = f(lo)
     fhi = f(hi)
-    if flo == 0.0:
-        return lo, lo
     for _ in range(max_expand):
-        if fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
+        if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
             return lo, hi
         lo, flo = hi, fhi
         hi = hi * 1.5

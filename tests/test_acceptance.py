@@ -266,7 +266,7 @@ def test_criterion_7_level_solver_certification():
         l = {"SN": 1, "CN": 2, "DN": 3}.get(fam.jacobi_kind or "SN", 1)
         for _ in range(100):
             v = 10.0 ** (-3.0 + 6.0 * gen.next_unit())
-            spec = LevelCurveSpec(fam, v, "SECOND", (slot_by_kind[fam.kind], l))
+            spec = LevelCurveSpec(fam, v, (slot_by_kind[fam.kind], l))
             total += 1
             try:
                 a = level_point(spec)

@@ -43,6 +43,10 @@ def test_segment_validation():
     seg = base_segment(math.pi / 8, 50)
     assert seg.lo == pytest.approx(50 * math.pi)
     assert seg.length == pytest.approx(math.pi / 8)
+    # U below the float spacing at 20 pi collapses the window to a point
+    for m in (LadderModel("ASYMPTOTIC"), LadderModel("AFFINE", 2.0)):
+        with pytest.raises(DomainError, match="no float width"):
+            reverse_iterate(base_segment(1e-15, 20), m)
 
 
 def test_weights_identity():
@@ -133,19 +137,28 @@ def test_reverse_iterate_round_trip_asymptotic():
 
 def test_mean_crossing_constant_integrand_flagged():
     seg = Segment(3.0, 4.0)
-    with pytest.raises(DegeneracyError):
-        _mean_crossing(lambda t: 2.5, seg, 2.5, cells=64)
+    with pytest.raises(DegeneracyError, match="numerically constant"):
+        _mean_crossing(lambda t: 2.5, seg, 2.5)
+    # a crossing narrower than one grid cell is not bracketed: the tent
+    # peaks mid-cell and every grid point reads -1
+    t0 = 3.0 + 0.5 / 1024
+
+    def tent(t):
+        return -1.0 + 2.0 * max(0.0, 1.0 - abs(t - t0) / 1e-4)
+
+    with pytest.raises(DegeneracyError, match="no crossing"):
+        _mean_crossing(tent, seg, 0.0)
 
 
 def test_mean_value_abscissa_interior_and_certified():
     m = LadderModel("ASYMPTOTIC")
     lifted = reverse_iterate(base_segment(math.pi / 8, 50), m)
     for l in (1, 2, 3):
-        alpha, resid = mean_value_abscissa(l, lifted, m)
+        mean = weighted_mean(l, lifted, m)
+        alpha, resid = mean_value_abscissa(l, lifted, m, mean)
         assert resid <= 1e-10
         assert lifted.lo < alpha < lifted.hi
         g = weighted_integrand(l, m)
-        mean = weighted_mean(l, lifted, m)
         assert abs(g(alpha) - mean) <= 1e-10 * mean
 
 
@@ -256,3 +269,17 @@ def test_additivity_gate_rejects_nan(monkeypatch):
     entry = run(RunConfig(L_list=(20,)))["payload"]["runs"][0]
     assert entry["certified"] is False
     assert entry["error"].startswith("AccuracyError: middle-term additivity")
+
+
+def test_placement_gate_raises_once(monkeypatch):
+    # a failed placement is final: no shifted grid is tried
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        raise AccuracyError("mean-value residual too large", achieved=1.0)
+
+    monkeypatch.setattr(critline, "mean_value_abscissa", failing)
+    with pytest.raises(AccuracyError, match="mean-value residual"):
+        build_mother_instance(math.pi / 8, 20, LadderModel("ASYMPTOTIC"))
+    assert len(calls) == 1

@@ -169,6 +169,12 @@ def test_cli_verify_and_exit_codes(tmp_path, capsys):
     cfg.write_text("L_list = 20\nquad_rel = 1e-14\n")
     code = cli_main(["verify", "--config", str(cfg), "--out", str(out)])
     assert code == 2
+    # a window narrower than the float spacing is recorded, not a crash
+    code = cli_main(["verify", "--U", "1e-15", "--L", "20", "--out", str(out)])
+    assert code == 1
+    entry = json.loads(out.read_text())["payload"]["runs"][0]
+    assert entry["certified"] is False
+    assert entry["error"].startswith("DomainError: ")
 
 
 def test_cli_atlas(tmp_path):

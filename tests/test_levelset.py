@@ -24,7 +24,7 @@ def _spec(family, v):
     slot_by_kind = {"COSINE": 8, "POWER": 9, "RECIP_GAMMA": 10,
                     "BESSEL": 11, "JACOBI": 12}
     l = {"SN": 1, "CN": 2, "DN": 3}.get(family.jacobi_kind or "SN", 1)
-    return LevelCurveSpec(family, v, "SECOND", (slot_by_kind[family.kind], l))
+    return LevelCurveSpec(family, v, (slot_by_kind[family.kind], l))
 
 
 def test_power_closed_form():
@@ -60,7 +60,7 @@ def test_bessel_small_target_before_first_zero():
 
 def test_jacobi_sn_half():
     fam = LevelFamily.jacobi("SN", 0.5)
-    p = level_point(LevelCurveSpec(fam, 0.5, "SECOND", (12, 1)))
+    p = level_point(LevelCurveSpec(fam, 0.5, (12, 1)))
     assert p.s.im == 0.0
     assert 0.0 < p.s.re < elliptic_k(0.5)
     got = jacobi_elliptic("SN", p.s.to_complex(), 0.5)
@@ -69,13 +69,11 @@ def test_jacobi_sn_half():
 
 def test_spec_slot_validation():
     with pytest.raises(DomainError):
-        LevelCurveSpec(LevelFamily.cosine(), 1.0, "SECOND", (9, 1))  # wrong family
+        LevelCurveSpec(LevelFamily.cosine(), 1.0, (9, 1))  # wrong family
     with pytest.raises(DomainError):
-        LevelCurveSpec(LevelFamily.cosine(), 1.0, "SECOND", (3, 1))  # wrong generation
+        LevelCurveSpec(LevelFamily.cosine(), -1.0, (8, 1))  # bad target
     with pytest.raises(DomainError):
-        LevelCurveSpec(LevelFamily.cosine(), -1.0, "SECOND", (8, 1))  # bad target
-    with pytest.raises(DomainError):
-        LevelCurveSpec(LevelFamily.jacobi("SN", 0.5), 1.0, "SECOND", (12, 2))
+        LevelCurveSpec(LevelFamily.jacobi("SN", 0.5), 1.0, (12, 2))
 
 
 def test_existence_coverage_log_uniform():
@@ -158,8 +156,10 @@ def test_full_assignment_certified():
         assert p.residual <= 1e-10 * max(1.0, p.spec.target)
         if n >= 8:
             assert p.spec.target == inst.c[l - 1]
+            assert p.spec.generation == "SECOND"
         else:
             assert p.spec.target == gen1_target(l, inst.alpha0[l - 1])
+            assert p.spec.generation == "FIRST"
     # power slots are closed-form: |s| equals the target root exactly
     for l in (1, 2, 3):
         p = assign.point(9, l)

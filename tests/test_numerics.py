@@ -43,6 +43,10 @@ def test_bisect_and_newton():
 def test_expand_bracket():
     lo, hi = expand_bracket(lambda x: x - 40.0, 1.0, 2.0)
     assert lo < 40.0 <= hi
+    # a zero at lo is a bracket end, and bisection returns it
+    lo, hi = expand_bracket(lambda x: x - 1.0, 1.0, 2.0)
+    assert (lo, hi) == (1.0, 2.0)
+    assert bisect_root(lambda x: x - 1.0, lo, hi) == 1.0
     with pytest.raises(SearchError):
         expand_bracket(lambda x: 1.0, 1.0, 2.0, max_expand=5)
 
