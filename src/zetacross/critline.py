@@ -28,7 +28,7 @@ QUAD_REL = 1e-11  # every mean quadrature; middle-term additivity holds to 10 QU
 
 _MIN_ASYMPTOTIC_T = math.e ** 2
 _CROSSING_CELLS = 1024  # first grid of the mean-crossing scan
-_Z_MEMO_SIZE = 2048  # > the ~1,530 distinct t of a window; caps a runaway quadrature
+_Z_MEMO_SIZE = 2048  # > the 578-1,123 distinct t of a window; caps a runaway quadrature
 
 
 @dataclass(frozen=True)
@@ -161,9 +161,12 @@ def _mean_crossing(fn: Callable[[float], float], seg: Segment, mean: float) -> f
     Scans a uniform grid of _CROSSING_CELLS cells, then bisects inside
     the first cell whose ends straddle the mean or whose left end meets
     it exactly. Raises DegeneracyError when fn is numerically constant
-    or the grid brackets no crossing. The grid points depend only on
-    seg, so in build_mother_instance the three weights' scans visit the
-    same t values and share one Z^2 evaluation at each.
+    or the grid brackets no crossing. The scan stops once both answers
+    are settled: a bracket is found and some |fn - mean| has cleared
+    1e-13 |mean|, so no later point can change either. The grid points
+    depend only on seg, so in build_mother_instance the three weights'
+    scans visit the same t values, up to the furthest of their
+    brackets, and share one Z^2 evaluation at each.
     """
     scale = max(abs(mean), 1e-300)
 
@@ -182,7 +185,7 @@ def _mean_crossing(fn: Callable[[float], float], seg: Segment, mean: float) -> f
         if bracket is None and (h_prev == 0.0 or (h_prev < 0.0) != (h_i < 0.0)):
             bracket = (t_prev, t_i)
         t_prev, h_prev = t_i, h_i
-        if t_i >= seg.hi:
+        if t_i >= seg.hi or (bracket is not None and h_max > 1e-13 * scale):
             break
     if h_max <= 1e-13 * scale:
         raise DegeneracyError("mean-value integrand is numerically constant")

@@ -9,8 +9,8 @@ Two regimes share the exact rotation angle theta(t) = Im log-gamma(1/4
   first five remainder corrections, whose coefficient functions are
   derivatives of psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p).
   psi is entire; its Taylor series about p = 1/2 is generated once by
-  power-series division, so arbitrary-order derivatives are Horner
-  evaluations with no finite differencing.
+  power-series division, so the derivatives come from one fused Horner
+  pass over the orders the remainder reads, with no finite differencing.
 
 The switchover sits at t = 2000: the five-term Riemann-Siegel remainder
 is only accurate to ~1e-11 there (error ~ t^{-11/4}), so pushing it
@@ -90,9 +90,12 @@ def rs_theta(t: float) -> float:
 # --------------------------------------------------------------------------
 
 _PSI_TERMS = 120
-# per derivative order, the Taylor coefficients about 1/2 as Python floats,
-# highest degree first: same IEEE arithmetic as float64, less per-term cost
-_psi_deriv_coeffs: list[list[float]] | None = None
+# the derivative orders the five remainder terms read (7, 10 and 11 unused)
+_RS_ORDERS = (0, 1, 2, 3, 4, 5, 6, 8, 9, 12)
+# one row per Taylor degree about 1/2, highest first, holding each order's
+# coefficient as a Python float (same IEEE arithmetic as float64, less
+# per-term cost); shorter orders are left-padded with 0.0
+_psi_rows: list[tuple[float, ...]] | None = None
 
 
 def _deflate(a: np.ndarray, r: float) -> np.ndarray:
@@ -156,16 +159,36 @@ def _build_psi_tables() -> list[np.ndarray]:
     return tables
 
 
-def _psi_derivative(k: int, p: float) -> float:
-    """k-th derivative of psi at p (0 <= p < 1)."""
-    global _psi_deriv_coeffs
-    if _psi_deriv_coeffs is None:
-        _psi_deriv_coeffs = [d[::-1].tolist() for d in _build_psi_tables()]
+def _psi_derivatives(p: float) -> tuple[float, ...]:
+    """psi's derivatives of the _RS_ORDERS orders at p (0 <= p < 1).
+
+    One Horner pass updates all ten accumulators per degree. A padded
+    0.0 leaves an accumulator at +0.0 (0.0 * u + 0.0 is +0.0 for any
+    finite u), so each order sees the same IEEE operations as a Horner
+    loop over its own table alone.
+    """
+    global _psi_rows
+    if _psi_rows is None:
+        tables = _build_psi_tables()
+        width = len(tables[0])
+        _psi_rows = list(zip(*(
+            [0.0] * (width - len(tables[k])) + tables[k][::-1].tolist()
+            for k in _RS_ORDERS
+        )))
     u = p - 0.5
-    acc = 0.0
-    for c in _psi_deriv_coeffs[k]:
-        acc = acc * u + c
-    return acc
+    a0 = a1 = a2 = a3 = a4 = a5 = a6 = a8 = a9 = a12 = 0.0
+    for c0, c1, c2, c3, c4, c5, c6, c8, c9, c12 in _psi_rows:
+        a0 = a0 * u + c0
+        a1 = a1 * u + c1
+        a2 = a2 * u + c2
+        a3 = a3 * u + c3
+        a4 = a4 * u + c4
+        a5 = a5 * u + c5
+        a6 = a6 * u + c6
+        a8 = a8 * u + c8
+        a9 = a9 * u + c9
+        a12 = a12 * u + c12
+    return a0, a1, a2, a3, a4, a5, a6, a8, a9, a12
 
 
 _PI2 = math.pi * math.pi
@@ -176,20 +199,20 @@ def _rs_correction(p: float, tau_inv_sqrt: float) -> float:
 
     tau_inv_sqrt = (2 pi / t)^{1/2}; returns C0 + C1 x + ... + C4 x^4.
     """
-    d = [_psi_derivative(k, p) for k in range(13)]
-    c0 = d[0]
-    c1 = -d[3] / (96.0 * _PI2)
-    c2 = d[2] / (64.0 * _PI2) + d[6] / (18432.0 * _PI2 * _PI2)
+    d0, d1, d2, d3, d4, d5, d6, d8, d9, d12 = _psi_derivatives(p)
+    c0 = d0
+    c1 = -d3 / (96.0 * _PI2)
+    c2 = d2 / (64.0 * _PI2) + d6 / (18432.0 * _PI2 * _PI2)
     c3 = (
-        -d[1] / (64.0 * _PI2)
-        - d[5] / (3840.0 * _PI2 * _PI2)
-        - d[9] / (5308416.0 * _PI2 * _PI2 * _PI2)
+        -d1 / (64.0 * _PI2)
+        - d5 / (3840.0 * _PI2 * _PI2)
+        - d9 / (5308416.0 * _PI2 * _PI2 * _PI2)
     )
     c4 = (
-        d[0] / (128.0 * _PI2)
-        + 19.0 * d[4] / (24576.0 * _PI2 * _PI2)
-        + 11.0 * d[8] / (5898240.0 * _PI2 * _PI2 * _PI2)
-        + d[12] / (2038431744.0 * _PI2 * _PI2 * _PI2 * _PI2)
+        d0 / (128.0 * _PI2)
+        + 19.0 * d4 / (24576.0 * _PI2 * _PI2)
+        + 11.0 * d8 / (5898240.0 * _PI2 * _PI2 * _PI2)
+        + d12 / (2038431744.0 * _PI2 * _PI2 * _PI2 * _PI2)
     )
     x = tau_inv_sqrt
     return (((c4 * x + c3) * x + c2) * x + c1) * x + c0

@@ -150,6 +150,102 @@ def test_mean_crossing_constant_integrand_flagged():
         _mean_crossing(tent, seg, 0.0)
 
 
+def _full_scan_crossing(fn, seg, mean):
+    """_mean_crossing without its early exit: all 1,025 grid points."""
+    cells = 1024
+    step = seg.length / cells
+    ts = [min(seg.lo + i * step, seg.hi) for i in range(cells + 1)]
+    hs = [fn(t) - mean for t in ts]
+    if max(abs(h) for h in hs) <= 1e-13 * max(abs(mean), 1e-300):
+        raise DegeneracyError("mean-value integrand is numerically constant")
+    for i in range(1, cells + 1):
+        if hs[i - 1] == 0.0 or (hs[i - 1] < 0.0) != (hs[i] < 0.0):
+            return critline.bisect_root(lambda t: fn(t) - mean, ts[i - 1], ts[i])
+    raise DegeneracyError("no crossing")
+
+
+def _scan_counts(monkeypatch):
+    """Spy recording, at each bisection, how many fn calls the scan made."""
+    calls, at_bisect = [], []
+    bisect = critline.bisect_root
+
+    def spy(h, lo, hi):
+        at_bisect.append(len(calls))
+        return bisect(h, lo, hi)
+
+    monkeypatch.setattr(critline, "bisect_root", spy)
+    return calls, at_bisect
+
+
+def test_mean_crossing_stops_at_first_settled_bracket(monkeypatch):
+    seg = Segment(3.0, 4.0)
+    step = seg.length / 1024
+    calls, at_bisect = _scan_counts(monkeypatch)
+    mean = 2.5 * step  # t - 3 crosses it mid-way through cell 3
+
+    def line(t):
+        calls.append(t)
+        return t - 3.0
+
+    alpha = _mean_crossing(line, seg, mean)
+    assert at_bisect == [4]  # t_0 .. t_3, then bisection
+    assert 3.0 + 2 * step < alpha < 3.0 + 3 * step
+    monkeypatch.undo()
+    assert alpha == _full_scan_crossing(line, seg, mean)
+
+
+def test_mean_crossing_scans_on_until_not_constant(monkeypatch):
+    # fn equals the mean exactly up to t_10, so cell 1 brackets at once;
+    # h then rises by 4e-14 per cell and first clears 1e-13 at t_13
+    seg = Segment(3.0, 4.0)
+    step = seg.length / 1024
+    calls, at_bisect = _scan_counts(monkeypatch)
+
+    def ramp(t):
+        calls.append(t)
+        return 1.0 + 4e-14 * max(0, round((t - seg.lo) / step) - 10)
+
+    alpha = _mean_crossing(ramp, seg, 1.0)
+    assert at_bisect == [14]
+    monkeypatch.undo()
+    assert alpha == _full_scan_crossing(ramp, seg, 1.0) == seg.lo
+
+
+def test_mean_crossing_flat_integrand_scans_everything(monkeypatch):
+    # noise below 1e-13 of the mean brackets in cell 1 but never settles
+    # the constant verdict, so the whole grid is read before it raises
+    seg = Segment(3.0, 4.0)
+    step = seg.length / 1024
+    calls, _ = _scan_counts(monkeypatch)
+
+    def flat(t):
+        calls.append(t)
+        return 2.5 + 1e-14 * (-1) ** round((t - seg.lo) / step)
+
+    with pytest.raises(DegeneracyError, match="numerically constant"):
+        _mean_crossing(flat, seg, 2.5)
+    assert len(calls) == 1025
+
+
+def test_mean_crossing_matches_full_scan_on_grid():
+    m = LadderModel("ASYMPTOTIC")
+    for U in (math.pi / 16, math.pi / 8, math.pi / 5):
+        for L in (20, 100, 500):
+            z = functools.cache(zeta.hardy_z)
+
+            def z_sq(t):
+                v = z(t)
+                return v * v
+
+            lifted = reverse_iterate(base_segment(U, L), m)
+            means = {l: weighted_mean(l, lifted, m, z_sq=z_sq) for l in (1, 3)}
+            means[2] = means[1] + means[3]
+            for l in (1, 2, 3):
+                g = weighted_integrand(l, m, z_sq)
+                assert _mean_crossing(g, lifted, means[l]) == _full_scan_crossing(
+                    g, lifted, means[l])
+
+
 def test_mean_value_abscissa_interior_and_certified():
     m = LadderModel("ASYMPTOTIC")
     lifted = reverse_iterate(base_segment(math.pi / 8, 50), m)
@@ -207,8 +303,10 @@ def test_mother_instance_exact_grid():
 
 
 def test_mother_instance_z_calls_shared_across_weights(monkeypatch):
-    # three unshared 1024-cell scans cost ~3,590 Z calls per instance, and
-    # three unshared mean quadratures ~1,530
+    # three unshared full 1024-cell scans cost ~3,590 Z calls per instance,
+    # and three unshared mean quadratures ~1,530; with one memo and scans
+    # that stop at their settled brackets, 879, 812 and 953 at U = pi/8
+    # (Euler-Maclaurin) and 811 at the Riemann-Siegel window
     calls = []
 
     def counting(fn):
@@ -220,10 +318,11 @@ def test_mother_instance_z_calls_shared_across_weights(monkeypatch):
     for name in ("hardy_z_em", "hardy_z_rs"):
         monkeypatch.setattr(zeta, name, counting(getattr(zeta, name)))
     m = LadderModel("ASYMPTOTIC")
-    for L in (20, 100, 500):
+    for U, L in ((math.pi / 8, 20), (math.pi / 8, 100), (math.pi / 8, 500),
+                 (0.20788119619068202, 843)):
         calls.clear()
-        build_mother_instance(math.pi / 8, L, m, "EXACT")
-        assert len(calls) <= 1300
+        build_mother_instance(U, L, m, "EXACT")
+        assert len(calls) <= 1000
 
 
 def test_mother_instance_alpha1_matches_unshared_crossing():

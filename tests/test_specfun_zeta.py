@@ -10,9 +10,11 @@ from zetacross.numerics import bernoulli
 from zetacross.specfun import RS_SWITCHOVER, hardy_z, zeta_mod_sq
 from zetacross.specfun.zeta import (
     _EM_TAIL,
+    _RS_ORDERS,
     _build_psi_tables,
     _logs_up_to,
-    _psi_derivative,
+    _psi_derivatives,
+    _rs_correction,
     hardy_z_em,
     hardy_z_rs,
     rs_theta,
@@ -72,15 +74,56 @@ def test_riemann_siegel_against_mpmath():
 
 
 def test_psi_derivative_matches_numpy_horner():
-    # reference: the same Horner loop on numpy float64 scalars
+    # reference: the same Horner loop on numpy float64 scalars, one order at a time
     tables = _build_psi_tables()
-    for k in range(13):
-        for p in (0.0, 0.013, 0.25, 0.5, 0.75, 0.999):
-            u = p - 0.5
+    for p in (0.0, 0.013, 0.25, 0.5, 0.75, 0.999):
+        u = p - 0.5
+        got = _psi_derivatives(p)
+        assert len(got) == len(_RS_ORDERS)
+        for k, value in zip(_RS_ORDERS, got):
             acc = 0.0
             for c in tables[k][::-1]:
                 acc = acc * u + c
-            assert _psi_derivative(k, p) == float(acc)
+            assert value == float(acc)
+
+
+def _rs_correction_per_order(tables, p, x):
+    """_rs_correction with all 13 psi derivatives, each from its own Horner
+    loop over its table from _build_psi_tables (highest degree first)."""
+    u = p - 0.5
+    d = []
+    for table in tables:
+        acc = 0.0
+        for c in table:
+            acc = acc * u + c
+        d.append(acc)
+    pi2 = math.pi * math.pi
+    c0 = d[0]
+    c1 = -d[3] / (96.0 * pi2)
+    c2 = d[2] / (64.0 * pi2) + d[6] / (18432.0 * pi2 * pi2)
+    c3 = (
+        -d[1] / (64.0 * pi2)
+        - d[5] / (3840.0 * pi2 * pi2)
+        - d[9] / (5308416.0 * pi2 * pi2 * pi2)
+    )
+    c4 = (
+        d[0] / (128.0 * pi2)
+        + 19.0 * d[4] / (24576.0 * pi2 * pi2)
+        + 11.0 * d[8] / (5898240.0 * pi2 * pi2 * pi2)
+        + d[12] / (2038431744.0 * pi2 * pi2 * pi2 * pi2)
+    )
+    return (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+
+
+def test_rs_correction_bit_identical_to_per_order_horner():
+    tables = [table[::-1].tolist() for table in _build_psi_tables()]
+    rng = np.random.default_rng(20261018)
+    ps = [0.0, 0.25, 0.5, 0.75, *rng.random(1000).tolist()]
+    # 1/tau at the switchover, mid-range and the top verify heights
+    xs = [1.0 / math.sqrt(t / (2.0 * math.pi)) for t in (2000.0, 9000.0, 45000.0)]
+    for p in ps:
+        for x in xs:
+            assert _rs_correction(p, x) == _rs_correction_per_order(tables, p, x)
 
 
 def test_em_tail_table_is_correctly_rounded():
