@@ -12,10 +12,9 @@ factor later eliminated by cross-multiplying two instances.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import AccuracyError, ConfigError, DegeneracyError, DomainError
 from .numerics import adaptive_quadrature, bisect_root, expand_bracket
@@ -27,8 +26,10 @@ U_MAX = 0.25 * math.pi
 QUAD_REL = 1e-11  # every mean quadrature; middle-term additivity holds to 10 QUAD_REL
 
 _MIN_ASYMPTOTIC_T = math.e ** 2
-_CROSSING_CELLS = 1024  # first grid of the mean-crossing scan
-_Z_MEMO_SIZE = 2048  # > the 578-1,123 distinct t of a window; caps a runaway quadrature
+# A window that finishes leaves 135-435 distinct t after its means; the cap
+# bounds the memory of a runaway quadrature and keeps the first 120 t, the
+# quadrature's 8-panel pre-pass, which span the whole window.
+_Z_MEMO_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -104,11 +105,18 @@ class LadderModel:
         return f"affine:{self.delta!r}"
 
 
-# weight index l = 1, 2, 3 -> sin^2, cos^2, cos 2t
+# weight index l = 1, 2, 3 -> sin, cos, cos 2t, and the weights f_l = sin^2,
+# cos^2, cos 2t; gen1_target reads the first table, because sqrt(f_l) would
+# not give |sin| and |cos| bit for bit
+_UNSQUARED: dict[int, Callable[[float], float]] = {
+    1: math.sin,
+    2: math.cos,
+    3: lambda t: math.cos(2.0 * t),
+}
 _WEIGHTS: dict[int, Callable[[float], float]] = {
     1: lambda t: math.sin(t) ** 2,
     2: lambda t: math.cos(t) ** 2,
-    3: lambda t: math.cos(2.0 * t),
+    3: _UNSQUARED[3],
 }
 
 
@@ -120,13 +128,9 @@ def weight_fn(l: int) -> Callable[[float], float]:
 
 def gen1_target(l: int, alpha0: float) -> float:
     """|sin a0|, |cos a0| or |cos 2 a0|: the unsquared weight magnitude."""
-    if l == 1:
-        return abs(math.sin(alpha0))
-    if l == 2:
-        return abs(math.cos(alpha0))
-    if l == 3:
-        return abs(math.cos(2.0 * alpha0))
-    raise DomainError(f"weight index must be 1, 2 or 3, got {l}")
+    if l not in _UNSQUARED:
+        raise DomainError(f"weight index must be 1, 2 or 3, got {l}")
+    return abs(_UNSQUARED[l](alpha0))
 
 
 def reverse_iterate(seg: Segment, model: LadderModel) -> Segment:
@@ -155,43 +159,22 @@ def reverse_iterate(seg: Segment, model: LadderModel) -> Segment:
     return lifted
 
 
-def _mean_crossing(fn: Callable[[float], float], seg: Segment, mean: float) -> float:
-    """Leftmost point where fn crosses its mean on seg.
+def _mean_crossing(fn: Callable[[float], float], nodes: Sequence[float],
+                   mean: float) -> float:
+    """Leftmost crossing of fn's mean over the increasing scan points nodes.
 
-    Scans a uniform grid of _CROSSING_CELLS cells, then bisects inside
-    the first cell whose ends straddle the mean or whose left end meets
-    it exactly. Raises DegeneracyError when fn is numerically constant
-    or the grid brackets no crossing. The scan stops once both answers
-    are settled: a bracket is found and some |fn - mean| has cleared
-    1e-13 |mean|, so no later point can change either. The grid points
-    depend only on seg, so in build_mother_instance the three weights'
-    scans visit the same t values, up to the furthest of their
-    brackets, and share one Z^2 evaluation at each.
+    Bisects between the first pair of adjacent nodes that straddle the
+    mean, or whose left node meets it exactly. Raises DegeneracyError
+    when every |fn - mean| at the nodes is <= 1e-13 |mean| (fn is
+    numerically constant) or when no pair brackets a crossing.
     """
-    scale = max(abs(mean), 1e-300)
-
-    def h(t: float) -> float:
-        return fn(t) - mean
-
-    step = seg.length / _CROSSING_CELLS
-    t_prev = seg.lo
-    h_prev = h(t_prev)
-    h_max = abs(h_prev)
-    bracket = None
-    for i in range(1, _CROSSING_CELLS + 1):
-        t_i = min(seg.lo + i * step, seg.hi)
-        h_i = h(t_i)
-        h_max = max(h_max, abs(h_i))
-        if bracket is None and (h_prev == 0.0 or (h_prev < 0.0) != (h_i < 0.0)):
-            bracket = (t_prev, t_i)
-        t_prev, h_prev = t_i, h_i
-        if t_i >= seg.hi or (bracket is not None and h_max > 1e-13 * scale):
-            break
-    if h_max <= 1e-13 * scale:
+    h = [fn(t) - mean for t in nodes]
+    if all(abs(v) <= 1e-13 * max(abs(mean), 1e-300) for v in h):
         raise DegeneracyError("mean-value integrand is numerically constant")
-    if bracket is None:
-        raise DegeneracyError(f"no crossing of the mean {mean!r} on [{seg.lo}, {seg.hi}]")
-    return bisect_root(h, *bracket)
+    for i in range(1, len(nodes)):
+        if h[i - 1] == 0.0 or (h[i - 1] < 0.0) != (h[i] < 0.0):
+            return bisect_root(lambda t: fn(t) - mean, nodes[i - 1], nodes[i])
+    raise DegeneracyError(f"no crossing of the mean {mean!r} on [{nodes[0]}, {nodes[-1]}]")
 
 
 def weighted_integrand(l: int, model: LadderModel,
@@ -216,22 +199,23 @@ def weighted_mean(l: int, lifted: Segment, model: LadderModel,
     return adaptive_quadrature(g, lifted.lo, lifted.hi, rel_tol) / lifted.length
 
 
-def mean_value_abscissa(l: int, lifted: Segment, model: LadderModel, mean: float,
-                        *, z_sq: Callable[[float], float] | None = None
+def mean_value_abscissa(l: int, nodes: Sequence[float], model: LadderModel,
+                        mean: float, *, z_sq: Callable[[float], float] | None = None
                         ) -> tuple[float, float]:
-    """Point alpha1 in lifted where Z^2 f_l(phi1) equals mean, its average.
+    """Point alpha1 where Z^2 f_l(phi1) equals mean, its average.
 
-    Returns (alpha1, placement residual |G(alpha1) - mean| / mean) for
-    the crossing _mean_crossing finds on its grid of _CROSSING_CELLS
-    cells. Raises DegeneracyError where that scan brackets no crossing,
-    and AccuracyError unless the residual is <= 1e-10; the residual
-    floor is the t-axis float spacing times the local slope, so very
-    large t would need a looser bound (the desk-scale grid stays an
-    order of magnitude clear of it). z_sq, as in weighted_integrand,
-    serves the crossing search and the residual check.
+    nodes are increasing scan points inside the lifted window. Returns
+    (alpha1, placement residual |G(alpha1) - mean| / mean) for the
+    crossing _mean_crossing finds between them. Raises DegeneracyError
+    where no pair of nodes brackets a crossing, and AccuracyError unless
+    the residual is <= 1e-10; the residual floor is the t-axis float
+    spacing times the local slope, so very large t would need a looser
+    bound (the desk-scale grid stays an order of magnitude clear of it).
+    z_sq, as in weighted_integrand, serves the scan, the bisection and
+    the residual check.
     """
     g = weighted_integrand(l, model, z_sq)
-    alpha1 = _mean_crossing(g, lifted, mean)
+    alpha1 = _mean_crossing(g, nodes, mean)
     resid = abs(g(alpha1) - mean) / max(abs(mean), 1e-300)
     if not resid <= 1e-10:
         raise AccuracyError(
@@ -246,7 +230,8 @@ class MotherInstance:
     """One certified three-term instance over a (U, L) window.
 
     Each a_l is the certified quadrature mean of G_l over the lifted
-    segment, attained at the solved crossing alpha1_l; c_l and g_l are
+    segment, attained at alpha1_l, the leftmost crossing of a_l among
+    the t values the mean quadratures evaluated; c_l and g_l are
     the factor split a_l = c_l^2 g_l through the crossing equation, so
     c_l equals |Z(alpha1_l)| to the placement tolerance (recorded in
     placement_residual). The middle mean is evaluated through the
@@ -294,20 +279,28 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
     middle term holds to 10 QUAD_REL; NaN fails every gate. mode must
     be "EXACT"; it stays only for callers that pass it positionally.
 
-    Each weight's crossing is one scan, one bisection and one placement
-    check. The three mean quadratures and the three crossings share one
-    Z evaluation per distinct t, through a memo of at most _Z_MEMO_SIZE
-    entries that lives for this call only. Every value is the one an
-    unshared evaluation would give, bit for bit.
+    The three means and the three crossings share one Z evaluation per
+    distinct t, through a memo of at most _Z_MEMO_SIZE entries that
+    lives for this call only; every value is the one an unshared
+    evaluation would give, bit for bit. Each weight's crossing is one
+    scan of the Z values the means made, one bisection and one gate.
+    The scan brackets up to rounding: the GK15 weights are positive, so
+    each a_l is a convex combination of G_l at the accepted panels'
+    nodes, all of which the scan reads (for a2 = a1 + a3, to the
+    additivity gate's tolerance).
     """
     if mode != "EXACT":
         raise ConfigError(f"mode must be EXACT, got {mode!r}")
     base = base_segment(U, L)
     lifted = reverse_iterate(base, model)
-    z = functools.lru_cache(maxsize=_Z_MEMO_SIZE)(hardy_z)
+    memo: dict[float, float] = {}
 
     def z_sq(t: float) -> float:
-        v = z(t)
+        v = memo.get(t)
+        if v is None:
+            v = hardy_z(t)
+            if len(memo) < _Z_MEMO_SIZE:
+                memo[t] = v
         return v * v
 
     means = {
@@ -322,6 +315,7 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
             f"middle-term additivity cross-check failed: {additivity_residual:.3e}"
         )
 
+    nodes = sorted(memo)  # before any bisection adds its points
     alpha1 = []
     alpha0 = []
     c_vals = []
@@ -330,7 +324,7 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
     placement = []
     for l in (1, 2, 3):
         target = means[l]
-        a1, resid = mean_value_abscissa(l, lifted, model, target, z_sq=z_sq)
+        a1, resid = mean_value_abscissa(l, nodes, model, target, z_sq=z_sq)
         a0 = model.value(a1)
         if not (base.lo < a0 < base.hi):
             raise AccuracyError(

@@ -135,127 +135,67 @@ def test_reverse_iterate_round_trip_asymptotic():
     assert out.lo > seg.lo  # phi1(T) < T forces the preimage upward
 
 
+def _memo_z_sq():
+    """Z^2 through a dict memo of Z, as build_mother_instance keeps it."""
+    memo = {}
+
+    def z_sq(t):
+        if t not in memo:
+            memo[t] = zeta.hardy_z(t)
+        v = memo[t]
+        return v * v
+
+    return memo, z_sq
+
+
 def test_mean_crossing_constant_integrand_flagged():
-    seg = Segment(3.0, 4.0)
+    nodes = [3.0 + i / 1024 for i in range(1025)]
     with pytest.raises(DegeneracyError, match="numerically constant"):
-        _mean_crossing(lambda t: 2.5, seg, 2.5)
-    # a crossing narrower than one grid cell is not bracketed: the tent
-    # peaks mid-cell and every grid point reads -1
+        _mean_crossing(lambda t: 2.5, nodes, 2.5)
+    # a crossing narrower than the node spacing is not bracketed: the
+    # tent peaks between two nodes and every node reads -1
     t0 = 3.0 + 0.5 / 1024
 
     def tent(t):
         return -1.0 + 2.0 * max(0.0, 1.0 - abs(t - t0) / 1e-4)
 
     with pytest.raises(DegeneracyError, match="no crossing"):
-        _mean_crossing(tent, seg, 0.0)
+        _mean_crossing(tent, nodes, 0.0)
 
 
-def _full_scan_crossing(fn, seg, mean):
-    """_mean_crossing without its early exit: all 1,025 grid points."""
-    cells = 1024
-    step = seg.length / cells
-    ts = [min(seg.lo + i * step, seg.hi) for i in range(cells + 1)]
-    hs = [fn(t) - mean for t in ts]
-    if max(abs(h) for h in hs) <= 1e-13 * max(abs(mean), 1e-300):
-        raise DegeneracyError("mean-value integrand is numerically constant")
-    for i in range(1, cells + 1):
-        if hs[i - 1] == 0.0 or (hs[i - 1] < 0.0) != (hs[i] < 0.0):
-            return critline.bisect_root(lambda t: fn(t) - mean, ts[i - 1], ts[i])
-    raise DegeneracyError("no crossing")
-
-
-def _scan_counts(monkeypatch):
-    """Spy recording, at each bisection, how many fn calls the scan made."""
-    calls, at_bisect = [], []
+def test_mean_crossing_bisects_first_straddling_pair(monkeypatch):
+    nodes = [3.0, 3.1, 3.15, 3.5, 3.55, 3.9, 4.0]
+    brackets = []
     bisect = critline.bisect_root
 
     def spy(h, lo, hi):
-        at_bisect.append(len(calls))
+        brackets.append((lo, hi))
         return bisect(h, lo, hi)
 
     monkeypatch.setattr(critline, "bisect_root", spy)
-    return calls, at_bisect
-
-
-def test_mean_crossing_stops_at_first_settled_bracket(monkeypatch):
-    seg = Segment(3.0, 4.0)
-    step = seg.length / 1024
-    calls, at_bisect = _scan_counts(monkeypatch)
-    mean = 2.5 * step  # t - 3 crosses it mid-way through cell 3
-
-    def line(t):
-        calls.append(t)
-        return t - 3.0
-
-    alpha = _mean_crossing(line, seg, mean)
-    assert at_bisect == [4]  # t_0 .. t_3, then bisection
-    assert 3.0 + 2 * step < alpha < 3.0 + 3 * step
-    monkeypatch.undo()
-    assert alpha == _full_scan_crossing(line, seg, mean)
-
-
-def test_mean_crossing_scans_on_until_not_constant(monkeypatch):
-    # fn equals the mean exactly up to t_10, so cell 1 brackets at once;
-    # h then rises by 4e-14 per cell and first clears 1e-13 at t_13
-    seg = Segment(3.0, 4.0)
-    step = seg.length / 1024
-    calls, at_bisect = _scan_counts(monkeypatch)
-
-    def ramp(t):
-        calls.append(t)
-        return 1.0 + 4e-14 * max(0, round((t - seg.lo) / step) - 10)
-
-    alpha = _mean_crossing(ramp, seg, 1.0)
-    assert at_bisect == [14]
-    monkeypatch.undo()
-    assert alpha == _full_scan_crossing(ramp, seg, 1.0) == seg.lo
-
-
-def test_mean_crossing_flat_integrand_scans_everything(monkeypatch):
-    # noise below 1e-13 of the mean brackets in cell 1 but never settles
-    # the constant verdict, so the whole grid is read before it raises
-    seg = Segment(3.0, 4.0)
-    step = seg.length / 1024
-    calls, _ = _scan_counts(monkeypatch)
-
-    def flat(t):
-        calls.append(t)
-        return 2.5 + 1e-14 * (-1) ** round((t - seg.lo) / step)
-
-    with pytest.raises(DegeneracyError, match="numerically constant"):
-        _mean_crossing(flat, seg, 2.5)
-    assert len(calls) == 1025
-
-
-def test_mean_crossing_matches_full_scan_on_grid():
-    m = LadderModel("ASYMPTOTIC")
-    for U in (math.pi / 16, math.pi / 8, math.pi / 5):
-        for L in (20, 100, 500):
-            z = functools.cache(zeta.hardy_z)
-
-            def z_sq(t):
-                v = z(t)
-                return v * v
-
-            lifted = reverse_iterate(base_segment(U, L), m)
-            means = {l: weighted_mean(l, lifted, m, z_sq=z_sq) for l in (1, 3)}
-            means[2] = means[1] + means[3]
-            for l in (1, 2, 3):
-                g = weighted_integrand(l, m, z_sq)
-                assert _mean_crossing(g, lifted, means[l]) == _full_scan_crossing(
-                    g, lifted, means[l])
+    alpha = _mean_crossing(lambda t: t - 3.0, nodes, 0.52)
+    assert brackets == [(3.5, 3.55)]
+    assert 3.5 < alpha < 3.55
+    # a node that meets the mean exactly closes the first bracket and is
+    # returned as the root; so is a first node that meets it
+    brackets.clear()
+    assert _mean_crossing(lambda t: t - 3.0, nodes, 0.5) == 3.5
+    assert _mean_crossing(lambda t: t - 3.0, nodes, 0.0) == 3.0
+    assert brackets == [(3.15, 3.5), (3.0, 3.1)]
 
 
 def test_mean_value_abscissa_interior_and_certified():
     m = LadderModel("ASYMPTOTIC")
     lifted = reverse_iterate(base_segment(math.pi / 8, 50), m)
+    memo, z_sq = _memo_z_sq()
+    means = {l: weighted_mean(l, lifted, m, z_sq=z_sq) for l in (1, 2, 3)}
+    nodes = sorted(memo)
     for l in (1, 2, 3):
-        mean = weighted_mean(l, lifted, m)
-        alpha, resid = mean_value_abscissa(l, lifted, m, mean)
+        alpha, resid = mean_value_abscissa(l, nodes, m, means[l])
         assert resid <= 1e-10
         assert lifted.lo < alpha < lifted.hi
         g = weighted_integrand(l, m)
-        assert abs(g(alpha) - mean) <= 1e-10 * mean
+        assert abs(g(alpha) - means[l]) <= 1e-10 * means[l]
 
 
 def test_weighted_mean_with_shared_z_sq_bit_identical():
@@ -303,10 +243,9 @@ def test_mother_instance_exact_grid():
 
 
 def test_mother_instance_z_calls_shared_across_weights(monkeypatch):
-    # three unshared full 1024-cell scans cost ~3,590 Z calls per instance,
-    # and three unshared mean quadratures ~1,530; with one memo and scans
-    # that stop at their settled brackets, 879, 812 and 953 at U = pi/8
-    # (Euler-Maclaurin) and 811 at the Riemann-Siegel window
+    # three unshared mean quadratures cost ~1,530 Z calls per instance;
+    # with one memo the means make 135-435 and each crossing only adds
+    # its bisection, about 245 in all on these windows
     calls = []
 
     def counting(fn):
@@ -322,7 +261,34 @@ def test_mother_instance_z_calls_shared_across_weights(monkeypatch):
                  (0.20788119619068202, 843)):
         calls.clear()
         build_mother_instance(U, L, m, "EXACT")
-        assert len(calls) <= 1000
+        assert len(calls) <= 300
+
+
+def test_mother_instance_crossing_scans_make_no_z_call(monkeypatch):
+    # each weight's scan reads the Z values the means made; only its
+    # bisection evaluates new points
+    calls, events = [], []
+
+    def spy(fn, name):
+        def wrapped(*args, **kwargs):
+            events.append((name, len(calls)))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def counting_z(t):
+        calls.append(t)
+        return zeta.hardy_z(t)
+
+    monkeypatch.setattr(critline, "hardy_z", counting_z)
+    monkeypatch.setattr(critline, "mean_value_abscissa",
+                        spy(critline.mean_value_abscissa, "crossing"))
+    monkeypatch.setattr(critline, "bisect_root", spy(critline.bisect_root, "bisect"))
+    build_mother_instance(math.pi / 8, 100, LadderModel("ASYMPTOTIC"))
+    start = [i for i, (name, _) in enumerate(events) if name == "crossing"]
+    assert len(start) == 3
+    for i in start:
+        assert events[i + 1][0] == "bisect"
+        assert events[i + 1][1] == events[i][1]
 
 
 def test_mother_instance_alpha1_matches_unshared_crossing():
@@ -330,10 +296,25 @@ def test_mother_instance_alpha1_matches_unshared_crossing():
     for L in (20, 100, 500):
         inst = build_mother_instance(math.pi / 8, L, m, "EXACT")
         lifted = reverse_iterate(base_segment(math.pi / 8, L), m)
+        memo, z_sq = _memo_z_sq()
+        for l in (1, 3, 2):
+            weighted_mean(l, lifted, m, z_sq=z_sq)
+        nodes = sorted(memo)
         for l in (1, 2, 3):
-            alpha, resid = mean_value_abscissa(l, lifted, m, mean=inst.a[l - 1])
+            alpha, resid = mean_value_abscissa(l, nodes, m, mean=inst.a[l - 1])
             assert resid == inst.placement_residual[l - 1]
             assert alpha == inst.alpha1[l - 1]
+
+
+def test_mother_instance_z_memo_cap_keeps_coverage(monkeypatch):
+    # the first 120 memo entries are the 8-panel pre-pass, which spans
+    # the whole window, so a memo capped there still brackets every mean
+    m = LadderModel("ASYMPTOTIC")
+    full = build_mother_instance(math.pi / 8, 20, m)
+    monkeypatch.setattr(critline, "_Z_MEMO_SIZE", 120)
+    capped = build_mother_instance(math.pi / 8, 20, m)
+    assert capped.a == full.a
+    assert capped.alpha1 == full.alpha1
 
 
 def test_mother_instance_deterministic():
