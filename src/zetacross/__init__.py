@@ -35,5 +35,4 @@ from .harness import (  # noqa: E402,F401
     load_config,
     parse_config,
     run,
-    serialize_config,
 )

@@ -14,7 +14,6 @@ from .critline import LadderModel
 from .errors import ConfigError, ZetacrossError
 from .harness import (
     RunConfig,
-    certification_ok,
     emit_atlas,
     load_config,
     run,
@@ -97,23 +96,21 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             report = run(config)
             write_report(report, args.out)
-            ok = certification_ok(report)
+            ok = report["payload"]["certified"]
             total = len(report["payload"]["runs"])
             good = sum(1 for r in report["payload"]["runs"] if r["certified"])
             print(f"certified {good}/{total} window(s); report: {args.out}")
             return 0 if ok else 1
-        if args.command == "atlas":
-            slots = _parse_slots(args.slots)
-            written, warnings = emit_atlas(config, slots, args.out_dir,
-                                           step=args.step, count=args.count)
-            for w in warnings:
-                print(f"warning: {w}", file=sys.stderr)
-            if not written and slots:
-                print("no atlas files written", file=sys.stderr)
-                return 1
-            print(f"wrote {len(written)} atlas file(s) to {args.out_dir}")
-            return 0
-        raise ConfigError(f"unknown command {args.command!r}")
+        slots = _parse_slots(args.slots)  # argparse allows only verify and atlas
+        written, warnings = emit_atlas(config, slots, args.out_dir,
+                                       step=args.step, count=args.count)
+        for w in warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        if not written and slots:
+            print("no atlas files written", file=sys.stderr)
+            return 1
+        print(f"wrote {len(written)} atlas file(s) to {args.out_dir}")
+        return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

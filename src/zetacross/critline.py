@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .errors import AccuracyError, ConfigError, DegeneracyError, DomainError
 from .numerics import adaptive_quadrature, bisect_root, expand_bracket
-from .specfun import hardy_z, zeta_mod_sq
+from .specfun import hardy_z
 
 EULER_GAMMA = 0.5772156649015329
 L_MIN = 10
@@ -100,9 +100,7 @@ class LadderModel:
         raise ConfigError(f"cannot parse ladder model {text!r}")
 
     def config_string(self) -> str:
-        if self.kind == "ASYMPTOTIC":
-            return "asymptotic"
-        return f"affine:{self.delta!r}"
+        return "asymptotic" if self.kind == "ASYMPTOTIC" else f"affine:{self.delta!r}"
 
 
 # weight index l = 1, 2, 3 -> sin, cos, cos 2t, and the weights f_l = sin^2,
@@ -178,12 +176,10 @@ def _mean_crossing(fn: Callable[[float], float], nodes: Sequence[float],
 
 
 def weighted_integrand(l: int, model: LadderModel,
-                       z_sq: Callable[[float], float] | None = None
-                       ) -> Callable[[float], float]:
-    """G_l(t) = Z(t)^2 f_l(phi1(t)), with Z^2 from z_sq (zeta_mod_sq if None),
-    which must give zeta_mod_sq's values bit for bit, e.g. from a memo."""
+                       z_sq: Callable[[float], float]) -> Callable[[float], float]:
+    """G_l(t) = Z(t)^2 f_l(phi1(t)), with Z^2 from z_sq, which must give
+    zeta_mod_sq's values bit for bit, e.g. from a memo."""
     f_l = weight_fn(l)
-    z_sq = z_sq or zeta_mod_sq
 
     def g(t: float) -> float:
         return z_sq(t) * f_l(model.value(t))
@@ -191,16 +187,16 @@ def weighted_integrand(l: int, model: LadderModel,
     return g
 
 
-def weighted_mean(l: int, lifted: Segment, model: LadderModel,
-                  rel_tol: float = QUAD_REL, *,
-                  z_sq: Callable[[float], float] | None = None) -> float:
-    """Average of G_l over lifted by adaptive panels; z_sq as in weighted_integrand."""
+def weighted_mean(l: int, lifted: Segment, model: LadderModel, *,
+                  z_sq: Callable[[float], float]) -> float:
+    """Average of G_l over lifted by adaptive panels to QUAD_REL; z_sq as in
+    weighted_integrand."""
     g = weighted_integrand(l, model, z_sq)
-    return adaptive_quadrature(g, lifted.lo, lifted.hi, rel_tol) / lifted.length
+    return adaptive_quadrature(g, lifted.lo, lifted.hi, QUAD_REL) / lifted.length
 
 
 def mean_value_abscissa(l: int, nodes: Sequence[float], model: LadderModel,
-                        mean: float, *, z_sq: Callable[[float], float] | None = None
+                        mean: float, *, z_sq: Callable[[float], float]
                         ) -> tuple[float, float]:
     """Point alpha1 where Z^2 f_l(phi1) equals mean, its average.
 

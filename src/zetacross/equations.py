@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .critline import MotherInstance
 from .errors import AccuracyError, ContractError, DomainError
 from .levelset import LevelAssignment
@@ -133,24 +131,3 @@ def second_generation(inst: MotherInstance,
         tid: make_transmutation(tid, inst, assign) for tid in TRANSMUTATION_IDS
     }
     return [crossbreed(instances[x], instances[y]) for (x, y) in CROSSBREED_PAIRS]
-
-
-def crossbreeding_property_residuals(count: int, seed: int = 123456789) -> np.ndarray:
-    """Residuals of the generic elimination identity on random triples.
-
-    Draws theta > 0 and positive middle terms, splits the outer sum
-    randomly, and returns |(a1+a3) b2 - (b1+b3) a2| / max(lhs, rhs).
-    """
-    rng = np.random.RandomState(seed)
-    theta = np.exp(rng.uniform(-3.0, 3.0, size=count))
-    a2 = np.exp(rng.uniform(-6.0, 6.0, size=count))
-    b2 = np.exp(rng.uniform(-6.0, 6.0, size=count))
-    ua = rng.uniform(1e-6, 1.0 - 1e-6, size=count)
-    ub = rng.uniform(1e-6, 1.0 - 1e-6, size=count)
-    a1 = ua * theta * a2
-    a3 = (1.0 - ua) * theta * a2
-    b1 = ub * theta * b2
-    b3 = (1.0 - ub) * theta * b2
-    lhs = (a1 + a3) * b2
-    rhs = (b1 + b3) * a2
-    return np.abs(lhs - rhs) / np.maximum(lhs, rhs)

@@ -35,8 +35,9 @@ from .equations import (
     make_transmutation,
 )
 from .errors import ConfigError, DomainError, ZetacrossError
-from .levelset import (RESIDUAL_TOL, LevelAssignment, build_level_assignments,
-                       level_point, spec_for_slot, trace_level_arc)
+from .levelset import (ALL_SLOTS, RESIDUAL_TOL, LevelAssignment,
+                       build_level_assignments, level_point, spec_for_slot,
+                       trace_level_arc)
 from .params import DEFAULT_PARAMS, ParameterSet
 
 SCHEMA_VERSION = 2
@@ -87,18 +88,19 @@ class RunConfig:
                 raise ConfigError(f"every L must be an integer >= {L_MIN}, got {L}")
 
 
-def serialize_config(config: RunConfig) -> str:
-    """Flat key = value text form (parse_config round-trips it)."""
-    lines = [
-        "# zetacross run configuration",
-        f"U = {config.U!r}",
-        "L_list = " + ",".join(str(L) for L in config.L_list),
-        f"ladder = {config.ladder.config_string()}",
-        "n = " + ",".join(str(v) for v in config.params.n),
-        "p = " + ",".join(str(v) for v in config.params.p),
-        "k = " + ",".join(repr(v) for v in config.params.k),
-    ]
-    return "\n".join(lines) + "\n"
+def _ints(val: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in val.split(",") if x)
+
+
+# config key -> converter of its value text; n, p and k make up params
+_CONFIG_KEYS = {
+    "U": float,
+    "L_list": _ints,
+    "ladder": LadderModel.parse,
+    "n": _ints,
+    "p": _ints,
+    "k": lambda val: tuple(float(x) for x in val.split(",") if x),
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -114,25 +116,14 @@ def parse_config(text: str) -> RunConfig:
         values[key.strip()] = val.strip()
 
     kwargs: dict = {}
-    param_parts: dict = {}
     for key, val in values.items():
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
         try:
-            if key == "U":
-                kwargs["U"] = float(val)
-            elif key == "L_list":
-                kwargs["L_list"] = tuple(int(x) for x in val.split(",") if x)
-            elif key == "ladder":
-                kwargs["ladder"] = LadderModel.parse(val)
-            elif key == "n":
-                param_parts["n"] = tuple(int(x) for x in val.split(",") if x)
-            elif key == "p":
-                param_parts["p"] = tuple(int(x) for x in val.split(",") if x)
-            elif key == "k":
-                param_parts["k"] = tuple(float(x) for x in val.split(",") if x)
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
+            kwargs[key] = _CONFIG_KEYS[key](val)
         except (ValueError, TypeError) as err:
             raise ConfigError(f"bad value for {key!r}: {val!r} ({err})") from err
+    param_parts = {key: kwargs.pop(key) for key in ("n", "p", "k") if key in kwargs}
     if param_parts:
         if set(param_parts) != {"n", "p", "k"}:
             raise ConfigError("parameter overrides need all of n, p, k")
@@ -291,9 +282,13 @@ def emit_atlas(config: RunConfig, slots: list[tuple[int, int]], out_dir: str | P
 
     Power-family slots sample their closed-form circle at 256 points;
     the others walk the implicit curve from the solved point. Slots
-    whose solve fails are skipped with a warning. A step outside
-    (1e-4, 1e-1) or a negative count raises ConfigError before any work.
+    whose solve fails are skipped with a warning. A slot outside the
+    thirty loci (n = 3..12, l = 1..3), a step outside (1e-4, 1e-1) or a
+    negative count raises ConfigError before any work.
     """
+    bad = [slot for slot in slots if slot not in ALL_SLOTS]
+    if bad:
+        raise ConfigError(f"slots must have n in 3..12 and l in 1..3, got {bad}")
     if not (1e-4 < step < 1e-1):
         raise ConfigError(f"arc step must lie in (1e-4, 1e-1), got {step}")
     if count < 0:
@@ -332,7 +327,3 @@ def emit_atlas(config: RunConfig, slots: list[tuple[int, int]], out_dir: str | P
                 writer.writerow([repr(row[0]), repr(row[1]), repr(row[2])])
         written.append(path)
     return written, warnings
-
-
-def certification_ok(report: dict) -> bool:
-    return bool(report["payload"]["certified"])

@@ -33,13 +33,11 @@ from .errors import AccuracyError, DomainError, SearchError
 from .numerics import bisect_root
 from .params import ParameterSet
 from .specfun import (
-    BesselOrder,
     ComplexPoint,
     EllipticModulus,
     bessel_j,
     elliptic_k,
     jacobi_elliptic,
-    log_gamma_complex,
     recip_gamma_abs,
 )
 from .specfun.jacobi import POLE_EXCLUSION, pole_distance
@@ -55,7 +53,7 @@ class LevelFamily:
 
     kind: str
     n: int | None = None
-    order: BesselOrder | None = None
+    p: int | None = None
     jacobi_kind: str | None = None
     modulus: EllipticModulus | None = None
 
@@ -64,8 +62,8 @@ class LevelFamily:
             raise DomainError(f"unknown family kind {self.kind!r}")
         if self.kind == "POWER" and (self.n is None or self.n < 1):
             raise DomainError(f"power family needs n >= 1, got {self.n}")
-        if self.kind == "BESSEL" and self.order is None:
-            raise DomainError("bessel family needs an integer order")
+        if self.kind == "BESSEL" and not isinstance(self.p, int):
+            raise DomainError(f"bessel family needs an integer order, got {self.p!r}")
         jacobi_ok = self.jacobi_kind in ("SN", "CN", "DN") and self.modulus is not None
         if self.kind == "JACOBI" and not jacobi_ok:
             raise DomainError("jacobi family needs a kind and a modulus")
@@ -84,10 +82,8 @@ class LevelFamily:
         return cls("RECIP_GAMMA")
 
     @classmethod
-    def bessel(cls, order: int | BesselOrder) -> "LevelFamily":
-        if not isinstance(order, BesselOrder):
-            order = BesselOrder(order)
-        return cls("BESSEL", order=order)
+    def bessel(cls, p: int) -> "LevelFamily":
+        return cls("BESSEL", p=p)
 
     @classmethod
     def jacobi(cls, kind: str, k: float | EllipticModulus) -> "LevelFamily":
@@ -99,9 +95,6 @@ class LevelFamily:
     @property
     def _def(self) -> "_FamilyDef":
         return _FAMILIES[self.kind]
-
-    def evaluate(self, s: complex) -> complex:
-        return self._def.evaluate(self, s)
 
     def abs_value(self, s: complex) -> float:
         return self._def.abs_value(self, s)
@@ -233,8 +226,8 @@ def _solve_recip_gamma(v: float) -> complex:
     return complex(0.5, y)
 
 
-def _solve_bessel(order: BesselOrder, v: float) -> complex:
-    p = abs(order.p)
+def _solve_bessel(p: int, v: float) -> complex:
+    p = abs(p)
     fval = lambda x: bessel_j(p, complex(x, 0.0)).real
     # Real axis within the validated |s| <= 50 domain: any target below
     # the envelope crosses inside the first lobes, so no expansion.
@@ -291,10 +284,9 @@ class _FamilyDef:
     """Everything that differs between families; callables take the family first."""
 
     slots: tuple[int, int]  # slot n of the first and the second generation
-    evaluate: Callable[[LevelFamily, complex], complex]
     solve: Callable[[LevelFamily, float], complex]
     from_params: Callable[[ParameterSet, int, int], LevelFamily]  # (params, idx, l)
-    abs_value: Callable[[LevelFamily, complex], float] = lambda f, s: abs(f.evaluate(s))
+    abs_value: Callable[[LevelFamily, complex], float]
     near_pole: Callable[[LevelFamily, complex], bool] = lambda f, s: False
     describe: Callable[[LevelFamily], str] = lambda f: f.kind.lower()
 
@@ -302,13 +294,12 @@ class _FamilyDef:
 _FAMILIES = {
     "COSINE": _FamilyDef(
         slots=(3, 8),
-        evaluate=lambda f, s: cmath.cos(s),
         solve=lambda f, v: _solve_cosine(v),
         from_params=lambda ps, i, l: LevelFamily.cosine(),
+        abs_value=lambda f, s: abs(cmath.cos(s)),
     ),
     "POWER": _FamilyDef(
         slots=(4, 9),
-        evaluate=lambda f, s: s ** f.n,
         solve=lambda f, v: _solve_power(f.n, v),
         from_params=lambda ps, i, l: LevelFamily.power(ps.n[i]),
         abs_value=lambda f, s: abs(s) ** f.n,
@@ -316,7 +307,6 @@ _FAMILIES = {
     ),
     "RECIP_GAMMA": _FamilyDef(
         slots=(5, 10),
-        evaluate=lambda f, s: cmath.exp(-log_gamma_complex(s)),
         solve=lambda f, v: _solve_recip_gamma(v),
         from_params=lambda ps, i, l: LevelFamily.recip_gamma(),
         abs_value=lambda f, s: recip_gamma_abs(s),  # stable where gamma over/underflows
@@ -325,16 +315,16 @@ _FAMILIES = {
     ),
     "BESSEL": _FamilyDef(
         slots=(6, 11),
-        evaluate=lambda f, s: bessel_j(f.order, s),
-        solve=lambda f, v: _solve_bessel(f.order, v),
+        solve=lambda f, v: _solve_bessel(f.p, v),
         from_params=lambda ps, i, l: LevelFamily.bessel(ps.p[i]),
-        describe=lambda f: f"bessel(p={f.order.p})",
+        abs_value=lambda f, s: abs(bessel_j(f.p, s)),
+        describe=lambda f: f"bessel(p={f.p})",
     ),
     "JACOBI": _FamilyDef(
         slots=(7, 12),
-        evaluate=lambda f, s: jacobi_elliptic(f.jacobi_kind, s, f.modulus),
         solve=lambda f, v: _solve_jacobi(f.jacobi_kind, f.modulus, v),
         from_params=lambda ps, i, l: LevelFamily.jacobi(_JACOBI_KIND_BY_L[l], ps.k[i]),
+        abs_value=lambda f, s: abs(jacobi_elliptic(f.jacobi_kind, s, f.modulus)),
         near_pole=lambda f, s: pole_distance(s, f.modulus) < POLE_EXCLUSION,
         describe=lambda f: f"jacobi({f.jacobi_kind}, k={f.modulus.k:.6g})",
     ),

@@ -77,7 +77,9 @@ DEFAULT_PARAMS = ParameterSet(
 
 
 def draw_parameter_set(seed: int, index: int = 0) -> ParameterSet:
-    """The index-th seeded draw; consumes 18 generator outputs."""
+    """The index-th seeded draw (index >= 0); consumes 18 generator outputs."""
+    if index < 0:
+        raise DomainError(f"draw index must be nonnegative, got {index}")
     gen = SplitMix64(seed)
     for _ in range(18 * index):
         gen.next_u64()

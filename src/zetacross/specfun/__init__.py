@@ -2,15 +2,13 @@
 integer order, Jacobi elliptic sn/cn/dn, and the complete elliptic
 integral K."""
 
-from .types import BesselOrder, ComplexPoint, EllipticModulus
-from .gammafn import gamma_complex, log_gamma_complex, recip_gamma_abs
+from .types import ComplexPoint, EllipticModulus
+from .gammafn import log_gamma_complex, recip_gamma_abs
 from .zeta import RS_SWITCHOVER, hardy_z, rs_theta, zeta_mod_sq
 
 __all__ = [
-    "BesselOrder",
     "ComplexPoint",
     "EllipticModulus",
-    "gamma_complex",
     "log_gamma_complex",
     "recip_gamma_abs",
     "RS_SWITCHOVER",

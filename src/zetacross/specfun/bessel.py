@@ -12,7 +12,7 @@ import math
 
 from ..errors import AccuracyError
 from ..numerics import NeumaierSum
-from .types import BesselOrder, as_complex
+from .types import as_complex
 
 _SERIES_RADIUS = 8.0
 
@@ -80,15 +80,13 @@ def _miller(p: int, s: complex) -> complex:
     return chain_p * (ref / chain_q)
 
 
-def bessel_j(p: int | BesselOrder, s: complex | float) -> complex:
+def bessel_j(p: int, s: complex | float) -> complex:
     """J_p(s) for integer p and complex s.
 
     Accuracy is certified for |s| <= 50 (relative error <= 1e-11, in
     practice ~1e-13); beyond ~2x that the fixed normalization-order
     schedule starts losing digits.
     """
-    if isinstance(p, BesselOrder):
-        p = p.p
     s = as_complex(s)
     if p < 0:
         v = bessel_j(-p, s)

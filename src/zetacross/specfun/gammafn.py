@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ..errors import AccuracyError, PoleError
+from ..errors import PoleError
 from ..numerics import bernoulli
 from .types import as_complex
 
@@ -81,14 +81,6 @@ def log_gamma_complex(z: complex | float) -> complex:
         # Reflection: log G(z) = log pi - log sin(pi z) - log G(1 - z)
         return math.log(math.pi) - _log_sin_pi(z) - _log_gamma_right(1.0 - z)
     return _log_gamma_right(z)
-
-
-def gamma_complex(z: complex | float) -> complex:
-    """Principal-branch Gamma(z)."""
-    lg = log_gamma_complex(z)
-    if lg.real > 700.0:
-        raise AccuracyError(f"gamma overflow at {z} (log modulus {lg.real:.1f})")
-    return cmath.exp(lg)
 
 
 def recip_gamma_abs(z: complex | float) -> float:

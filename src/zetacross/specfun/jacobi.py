@@ -11,14 +11,13 @@ dn^2 = k'^2 + k^2 cn^2, which is cancellation-free on the real axis.
 from __future__ import annotations
 
 import math
-from typing import Literal
 
 from ..errors import DomainError, PoleError
 from .types import EllipticModulus, as_complex
 
 POLE_EXCLUSION = 1e-6
 
-JacobiKind = Literal["SN", "CN", "DN"]
+_KINDS = ("SN", "CN", "DN")  # in the order sncndn_complex returns them
 
 
 def _as_modulus(k: float | EllipticModulus) -> EllipticModulus:
@@ -27,10 +26,10 @@ def _as_modulus(k: float | EllipticModulus) -> EllipticModulus:
     return EllipticModulus(float(k))
 
 
-def elliptic_k(k: float | EllipticModulus) -> float:
-    """Complete elliptic integral K(k) by AGM; k in [0, 1)."""
-    if isinstance(k, EllipticModulus):
-        k = k.k
+def elliptic_k(k: float) -> float:
+    """Complete elliptic integral K(k) by AGM; k in [0, 1). The AGM stops
+    once a step leaves (a, b) unchanged: they can settle on two adjacent
+    floats that never meet."""
     if not (0.0 <= k < 1.0):
         raise DomainError(f"elliptic_k needs 0 <= k < 1, got {k}")
     if k == 0.0:
@@ -38,9 +37,10 @@ def elliptic_k(k: float | EllipticModulus) -> float:
     a = 1.0
     b = math.sqrt((1.0 - k) * (1.0 + k))
     for _ in range(60):
-        if abs(a - b) <= 1e-17 * a:
+        a_next, b_next = 0.5 * (a + b), math.sqrt(a * b)
+        if a_next == a and b_next == b:
             break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        a, b = a_next, b_next
     return math.pi / (2.0 * a)
 
 
@@ -121,15 +121,10 @@ def sncndn_complex(u: complex, k: float | EllipticModulus) -> tuple[complex, com
     return sn, cn, dn
 
 
-def jacobi_elliptic(kind: JacobiKind, u: complex | float,
+def jacobi_elliptic(kind: str, u: complex | float,
                     k: float | EllipticModulus) -> complex:
-    """sn/cn/dn of complex argument; rejects points near the pole lattice."""
-    z = as_complex(u)
-    sn, cn, dn = sncndn_complex(z, k)
-    if kind == "SN":
-        return sn
-    if kind == "CN":
-        return cn
-    if kind == "DN":
-        return dn
-    raise DomainError(f"unknown jacobi kind {kind!r}")
+    """sn/cn/dn (kind "SN", "CN" or "DN") of complex argument; rejects
+    points near the pole lattice."""
+    if kind not in _KINDS:
+        raise DomainError(f"unknown jacobi kind {kind!r}")
+    return sncndn_complex(as_complex(u), k)[_KINDS.index(kind)]

@@ -26,9 +26,6 @@ class ComplexPoint:
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
 
-    def __abs__(self) -> float:
-        return math.hypot(self.re, self.im)
-
 
 @dataclass(frozen=True)
 class EllipticModulus:
@@ -43,17 +40,6 @@ class EllipticModulus:
     @property
     def k_prime(self) -> float:
         return math.sqrt((1.0 - self.k) * (1.0 + self.k))
-
-
-@dataclass(frozen=True)
-class BesselOrder:
-    """Integer order for the Bessel J family."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int):
-            raise DomainError(f"Bessel order must be an integer, got {self.p!r}")
 
 
 def as_complex(z: complex | float | ComplexPoint) -> complex:

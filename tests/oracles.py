@@ -2,14 +2,18 @@
 
 These deliberately do not share code with the package: fixed-term
 Euler-Maclaurin with literal Bernoulli fractions, an asymptotic-series
-rotation angle, direct series for the Bessel zero bracket, and plain
-AGM for the elliptic quarter period. Keep them boring.
+rotation angle, direct series for the Bessel zero bracket, plain AGM
+for the elliptic quarter period (and the package's former AGM loop as a
+bit-for-bit reference), and random triples for the generic elimination
+identity. Keep them boring.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 # B_2 .. B_30, literal values.
 _B2K = [
@@ -100,6 +104,41 @@ def agm_k_oracle(k: float, iters: int = 8) -> float:
     for _ in range(iters):
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return math.pi / (2.0 * a)
+
+
+def elliptic_k_reference(k: float) -> float:
+    """K(k) by the AGM loop that stops only once a == b, else after 60
+    steps: elliptic_k must give its values bit for bit."""
+    if k == 0.0:
+        return 0.5 * math.pi
+    a = 1.0
+    b = math.sqrt((1.0 - k) * (1.0 + k))
+    for _ in range(60):
+        if abs(a - b) <= 1e-17 * a:
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.pi / (2.0 * a)
+
+
+def crossbreeding_property_residuals(count: int, seed: int = 123456789) -> np.ndarray:
+    """Residuals of the generic elimination identity on random triples.
+
+    Draws theta > 0 and positive middle terms, splits the outer sum
+    randomly, and returns |(a1+a3) b2 - (b1+b3) a2| / max(lhs, rhs).
+    """
+    rng = np.random.RandomState(seed)
+    theta = np.exp(rng.uniform(-3.0, 3.0, size=count))
+    a2 = np.exp(rng.uniform(-6.0, 6.0, size=count))
+    b2 = np.exp(rng.uniform(-6.0, 6.0, size=count))
+    ua = rng.uniform(1e-6, 1.0 - 1e-6, size=count)
+    ub = rng.uniform(1e-6, 1.0 - 1e-6, size=count)
+    a1 = ua * theta * a2
+    a3 = (1.0 - ua) * theta * a2
+    b1 = ub * theta * b2
+    b3 = (1.0 - ub) * theta * b2
+    lhs = (a1 + a3) * b2
+    rhs = (b1 + b3) * a2
+    return np.abs(lhs - rhs) / np.maximum(lhs, rhs)
 
 
 def simpson_refine_oracle(f, a: float, b: float, rel: float = 1e-11,

@@ -191,10 +191,10 @@ def test_mean_value_abscissa_interior_and_certified():
     means = {l: weighted_mean(l, lifted, m, z_sq=z_sq) for l in (1, 2, 3)}
     nodes = sorted(memo)
     for l in (1, 2, 3):
-        alpha, resid = mean_value_abscissa(l, nodes, m, means[l])
+        alpha, resid = mean_value_abscissa(l, nodes, m, means[l], z_sq=zeta_mod_sq)
         assert resid <= 1e-10
         assert lifted.lo < alpha < lifted.hi
-        g = weighted_integrand(l, m)
+        g = weighted_integrand(l, m, zeta_mod_sq)
         assert abs(g(alpha) - means[l]) <= 1e-10 * means[l]
 
 
@@ -209,7 +209,8 @@ def test_weighted_mean_with_shared_z_sq_bit_identical():
     for L in (20, 843):  # Euler-Maclaurin and Riemann-Siegel heights
         lifted = reverse_iterate(base_segment(math.pi / 8, L), m)
         for l in (1, 2, 3):
-            assert weighted_mean(l, lifted, m, z_sq=z_sq) == weighted_mean(l, lifted, m)
+            assert (weighted_mean(l, lifted, m, z_sq=z_sq)
+                    == weighted_mean(l, lifted, m, z_sq=zeta_mod_sq))
 
 
 def test_mean_value_defect_against_doubled_refinement():
@@ -218,7 +219,8 @@ def test_mean_value_defect_against_doubled_refinement():
     inst = build_mother_instance(math.pi / 8, 50, m, "EXACT")
     lifted = reverse_iterate(base_segment(math.pi / 8, 50), m)
     for idx, l in enumerate((1, 2, 3)):
-        fine = weighted_mean(l, lifted, m, rel_tol=1e-12)
+        g = weighted_integrand(l, m, zeta_mod_sq)
+        fine = adaptive_quadrature(g, lifted.lo, lifted.hi, 1e-12) / lifted.length
         assert abs(inst.a[idx] - fine) <= 1e-9 * fine
 
 
@@ -301,7 +303,8 @@ def test_mother_instance_alpha1_matches_unshared_crossing():
             weighted_mean(l, lifted, m, z_sq=z_sq)
         nodes = sorted(memo)
         for l in (1, 2, 3):
-            alpha, resid = mean_value_abscissa(l, nodes, m, mean=inst.a[l - 1])
+            alpha, resid = mean_value_abscissa(l, nodes, m, mean=inst.a[l - 1],
+                                               z_sq=zeta_mod_sq)
             assert resid == inst.placement_residual[l - 1]
             assert alpha == inst.alpha1[l - 1]
 

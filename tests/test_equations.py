@@ -11,13 +11,14 @@ from zetacross.equations import (
     MetaEquation,
     TransmutationInstance,
     crossbreed,
-    crossbreeding_property_residuals,
     make_transmutation,
     second_generation,
 )
 from zetacross.errors import ContractError, DomainError
 from zetacross.levelset import build_level_assignments
 from zetacross.params import DEFAULT_PARAMS, draw_parameter_set
+
+from oracles import crossbreeding_property_residuals
 
 
 def test_synthetic_trig_terms():

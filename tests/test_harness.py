@@ -16,13 +16,12 @@ from zetacross.harness import (
     parse_config,
     payload_bytes,
     run,
-    serialize_config,
     write_report,
 )
 from zetacross.params import ParameterSet
 
 
-def test_config_round_trip():
+def test_parse_config_reads_every_key():
     config = RunConfig(
         U=math.pi / 16,
         L_list=(25, 75),
@@ -30,7 +29,20 @@ def test_config_round_trip():
         params=ParameterSet(n=(2, 1, 3, 1, 1, 2), p=(-1, 0, 2, 1, -2, 3),
                             k=(0.3, 0.4, 0.5, 0.6, 0.7, 0.8)),
     )
-    assert parse_config(serialize_config(config)) == config
+    text = (
+        "# zetacross run configuration\n"
+        f"U = {math.pi / 16!r}\n"
+        "L_list = 25,75\n"
+        "ladder = affine:1.5\n"
+        "n = 2,1,3,1,1,2\n"
+        "p = -1,0,2,1,-2,3\n"
+        "k = 0.3,0.4,0.5,0.6,0.7,0.8\n"
+    )
+    assert parse_config(text) == config
+    with pytest.raises(ConfigError, match=r"bad value for 'U': 'x'"):
+        parse_config("U = x\n")
+    with pytest.raises(ConfigError, match="need all of n, p, k"):
+        parse_config("n = 1,1,1,1,1,1\n")
 
 
 def test_config_validation():
@@ -191,6 +203,15 @@ def test_cli_atlas(tmp_path):
                      "--out-dir", str(out_dir), "--step", "0.5"])
     assert code == 2
     assert not list(out_dir.glob("*.csv"))
+    # a slot outside n = 3..12, l = 1..3 is a usage error, before any file
+    for bad in ("2:1", "13:1", "8:4", "8:0", "3:-1"):
+        out_dir = tmp_path / f"atlas-{bad.replace(':', '_')}"
+        code = cli_main(["atlas", "--L", "20", "--slots", f"9:1,{bad}",
+                         "--out-dir", str(out_dir), "--count", "10"])
+        assert code == 2
+        assert not list(out_dir.glob("*.csv"))
+    with pytest.raises(ConfigError, match=r"\(13, 1\)"):
+        emit_atlas(RunConfig(L_list=(20,)), [(9, 1), (13, 1)], tmp_path / "atlas4")
 
 
 def test_cli_usage_error_exits_2():

@@ -74,6 +74,8 @@ def test_spec_slot_validation():
         LevelCurveSpec(LevelFamily.cosine(), -1.0, (8, 1))  # bad target
     with pytest.raises(DomainError):
         LevelCurveSpec(LevelFamily.jacobi("SN", 0.5), 1.0, (12, 2))
+    with pytest.raises(DomainError):
+        LevelFamily.bessel(1.5)  # Bessel orders are integers
 
 
 def test_existence_coverage_log_uniform():
@@ -115,7 +117,7 @@ def test_trace_power_circle():
     arc = trace_level_arc(spec, start, 0.05, 100)
     assert len(arc) == 100
     for vertex in arc:
-        assert abs(vertex) == pytest.approx(2.0, abs=1e-9)
+        assert abs(vertex.to_complex()) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_trace_cosine_from_saddle():
@@ -142,7 +144,7 @@ def test_family_for_slot_parameter_indexing():
     fam = family_for_slot(4, 2, ps)   # first generation, l=2 -> index 1
     assert fam.n == ps.n[1]
     fam = family_for_slot(11, 3, ps)
-    assert fam.order.p == ps.p[5]
+    assert fam.p == ps.p[5]
     fam = family_for_slot(7, 1, ps)
     assert fam.modulus.k == ps.k[0]
 
@@ -164,7 +166,7 @@ def test_full_assignment_certified():
     for l in (1, 2, 3):
         p = assign.point(9, l)
         n_exp = p.spec.family.n
-        assert abs(p.s) ** n_exp == pytest.approx(inst.c[l - 1], rel=1e-14)
+        assert abs(p.s.to_complex()) ** n_exp == pytest.approx(inst.c[l - 1], rel=1e-14)
 
 
 def test_assignment_error_carries_slot():

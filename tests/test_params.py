@@ -48,6 +48,13 @@ def test_draws_deterministic_and_indexed():
         assert all(0.05 < k * k < 0.95 for k in ps.k)
 
 
+def test_negative_draw_index_rejected():
+    # a negative index skips no outputs, so it would alias draw 0
+    for index in (-1, -3):
+        with pytest.raises(DomainError):
+            draw_parameter_set(7, index)
+
+
 def test_draw_indexing_matches_stream_skip():
     # draw(seed, i) must equal skipping 18 i outputs then drawing
     gen = SplitMix64(7)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from zetacross.errors import AccuracyError
-from zetacross.specfun import BesselOrder, bessel_j
+from zetacross.specfun import bessel_j
 
 from oracles import bisect_oracle, j0_series_oracle
 
@@ -64,10 +64,6 @@ def test_recurrence_range_exhausted_is_typed():
     for s in (1000.0, 700j):
         with pytest.raises(AccuracyError, match="range exhausted"):
             bessel_j(0, s)
-
-
-def test_order_type_wrapper():
-    assert bessel_j(BesselOrder(3), 2.0) == bessel_j(3, 2.0)
 
 
 def test_deterministic():

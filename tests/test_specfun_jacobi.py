@@ -6,10 +6,10 @@ import random
 import pytest
 
 from zetacross.errors import DomainError, PoleError
-from zetacross.specfun import EllipticModulus, elliptic_k, jacobi_elliptic
+from zetacross.specfun import EllipticModulus, elliptic_k, jacobi, jacobi_elliptic
 from zetacross.specfun.jacobi import pole_distance, sncndn_complex
 
-from oracles import agm_k_oracle
+from oracles import agm_k_oracle, elliptic_k_reference
 
 K_08 = 1.9953027776647299  # frozen from the AGM oracle
 
@@ -19,6 +19,33 @@ def test_elliptic_k_values():
     assert elliptic_k(0.8) == pytest.approx(K_08, rel=1e-14)
     assert elliptic_k(0.8) == pytest.approx(agm_k_oracle(0.8), rel=1e-13)
     assert elliptic_k(0.8) == elliptic_k(0.8)  # bit-identical on repeat
+
+
+def test_elliptic_k_matches_reference_loop_bit_for_bit():
+    rng = random.Random(271828)
+    moduli = [0.0, 1e-300, 1e-12, 0.6, 0.8, 1.0 - 1e-12]
+    moduli += [rng.random() for _ in range(20000)]
+    moduli += [math.sqrt(rng.uniform(0.05, 0.95)) for _ in range(5000)]
+    for k in moduli:
+        assert elliptic_k(k) == elliptic_k_reference(k), k
+
+
+def test_elliptic_k_stops_once_the_mean_settles(monkeypatch):
+    # at k = 0.6 the mean settles on two adjacent floats that never meet;
+    # the loop must stop there, not run out its 60 steps
+    roots = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def sqrt(self, x):
+            roots.append(x)
+            return math.sqrt(x)
+
+    monkeypatch.setattr(jacobi, "math", CountingMath())
+    assert elliptic_k(0.6) == elliptic_k_reference(0.6)
+    assert len(roots) <= 8  # k' and one per AGM step
 
 
 def test_values_at_origin():
@@ -72,6 +99,8 @@ def test_modulus_validation():
         EllipticModulus(0.0)
     with pytest.raises(DomainError):
         jacobi_elliptic("SN", 0.3, 1.2)
+    with pytest.raises(DomainError, match="unknown jacobi kind"):
+        jacobi_elliptic("NS", 0.3, 0.5)
 
 
 def test_imaginary_argument_forms():
