@@ -32,7 +32,7 @@ _MIN_ASYMPTOTIC_T = math.e ** 2
 _Z_MEMO_SIZE = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """A closed interval on the positive t-axis."""
 
@@ -59,7 +59,7 @@ def base_segment(U: float, L: int) -> Segment:
     return Segment(lo, lo + U)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LadderModel:
     """Strictly increasing map with phi1(T) < T.
 
@@ -221,7 +221,7 @@ def mean_value_abscissa(l: int, nodes: Sequence[float], model: LadderModel,
     return alpha1, resid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MotherInstance:
     """One certified three-term instance over a (U, L) window.
 

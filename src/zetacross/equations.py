@@ -43,10 +43,13 @@ CROSSBREED_PAIRS = (
     ("T3", "T4"), ("T3", "T5"), ("T4", "T5"),
 )
 
+# each listed pair keyed by itself, so the equations share its tuples
+_LISTED_PAIR = {pair: pair for pair in CROSSBREED_PAIRS}
+
 TERM_EQUALITY_TOL = 1e-8  # relative; also bounds the ten crossbred residuals in run
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransmutationInstance:
     """Three composite terms b_l reproducing a_l, with the shared factor."""
 
@@ -66,7 +69,7 @@ class TransmutationInstance:
         return abs(self.b[0] - self.theta * self.b[1] + self.b[2]) / max(self.b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetaEquation:
     """One crossbred identity (a1+a3) b2 = (b1+b3) a2."""
 
@@ -121,7 +124,8 @@ def crossbreed(a: TransmutationInstance, b: TransmutationInstance) -> MetaEquati
     lhs = (a.b[0] + a.b[2]) * b.b[1]
     rhs = (b.b[0] + b.b[2]) * a.b[1]
     residual = abs(lhs - rhs) / max(lhs, rhs)
-    return MetaEquation(pair=(a.id, b.id), lhs=lhs, rhs=rhs, residual=residual)
+    pair = _LISTED_PAIR.get((a.id, b.id), (a.id, b.id))
+    return MetaEquation(pair=pair, lhs=lhs, rhs=rhs, residual=residual)
 
 
 def second_generation(inst: MotherInstance,

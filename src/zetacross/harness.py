@@ -65,7 +65,7 @@ INTERPRETATION_NOTES = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunConfig:
     """Inputs for one certification run. The certified bounds quad_rel,
     level_res and eq_res are fixed class constants, echoed in the report."""
@@ -300,7 +300,7 @@ def emit_atlas(config: RunConfig, slots: list[tuple[int, int]], out_dir: str | P
     warnings: list[str] = []
     for (n, l) in slots:
         try:
-            spec = spec_for_slot(n, l, inst, config.params)
+            spec = spec_for_slot((n, l), inst, config.params)
             start = level_point(spec)
         except ZetacrossError as err:
             warnings.append(f"slot ({n},{l}) skipped: {err}")

@@ -36,7 +36,6 @@ from .specfun import (
     ComplexPoint,
     EllipticModulus,
     bessel_j,
-    elliptic_k,
     jacobi_elliptic,
     recip_gamma_abs,
 )
@@ -47,7 +46,7 @@ _GAMMA_MIN_X = 1.4616321449683623
 _JACOBI_KIND_BY_L = {1: "SN", 2: "CN", 3: "DN"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelFamily:
     """One of the five function families whose moduli are constrained."""
 
@@ -71,7 +70,7 @@ class LevelFamily:
     # -- constructors ------------------------------------------------------
     @classmethod
     def cosine(cls) -> "LevelFamily":
-        return cls("COSINE")
+        return _COSINE
 
     @classmethod
     def power(cls, n: int) -> "LevelFamily":
@@ -79,7 +78,7 @@ class LevelFamily:
 
     @classmethod
     def recip_gamma(cls) -> "LevelFamily":
-        return cls("RECIP_GAMMA")
+        return _RECIP_GAMMA
 
     @classmethod
     def bessel(cls, p: int) -> "LevelFamily":
@@ -106,7 +105,7 @@ class LevelFamily:
         return self._def.describe(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelCurveSpec:
     """A family plus a positive target modulus, tagged with its slot."""
 
@@ -135,7 +134,7 @@ class LevelCurveSpec:
         return "FIRST" if self.slot[0] <= 7 else "SECOND"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelPoint:
     """A certified solution of |F(s)| = target, with the modulus |F(s)|."""
 
@@ -251,9 +250,7 @@ def _solve_bessel(p: int, v: float) -> complex:
 
 
 def _solve_jacobi(kind: str, mod: EllipticModulus, v: float) -> complex:
-    k = mod.k
-    big_k = elliptic_k(k)
-    big_kp = elliptic_k(mod.k_prime)
+    big_k, big_kp = mod.big_k, mod.big_kp
     y_cap = big_kp - max(2.0 * POLE_EXCLUSION, 1e-9 * big_kp)
 
     def along_real(u: float) -> float:
@@ -275,11 +272,11 @@ def _solve_jacobi(kind: str, mod: EllipticModulus, v: float) -> complex:
     if root is not None:
         return complex(0.0, root)
     raise SearchError(
-        f"jacobi {kind} target {v} unreachable on canonical paths (k={k:.6g})"
+        f"jacobi {kind} target {v} unreachable on canonical paths (k={mod.k:.6g})"
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _FamilyDef:
     """Everything that differs between families; callables take the family first."""
 
@@ -330,6 +327,9 @@ _FAMILIES = {
     ),
 }
 _FAMILY_KIND_BY_SLOT = {n: kind for kind, fam in _FAMILIES.items() for n in fam.slots}
+# the two families without a parameter, shared by every slot and call
+_COSINE = LevelFamily("COSINE")
+_RECIP_GAMMA = LevelFamily("RECIP_GAMMA")
 
 
 def level_point(spec: LevelCurveSpec) -> LevelPoint:
@@ -438,15 +438,16 @@ def family_for_slot(n: int, l: int, params: ParameterSet) -> LevelFamily:
     return _FAMILIES[_FAMILY_KIND_BY_SLOT[n]].from_params(params, idx, l)
 
 
-def spec_for_slot(n: int, l: int, inst: MotherInstance,
+def spec_for_slot(slot: tuple[int, int], inst: MotherInstance,
                   params: ParameterSet) -> LevelCurveSpec:
     """Target c_l for the second generation, the unsquared weight value
-    h_l at alpha0 for the first."""
+    h_l at alpha0 for the first. The spec keeps the slot tuple it is given."""
+    n, l = slot
     target = gen1_target(l, inst.alpha0[l - 1]) if n <= 7 else inst.c[l - 1]
-    return LevelCurveSpec(family_for_slot(n, l, params), target, (n, l))
+    return LevelCurveSpec(family_for_slot(n, l, params), target, slot)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelAssignment:
     """Certified points for all thirty (n, l) slots of one instance."""
 
@@ -457,12 +458,13 @@ class LevelAssignment:
 
 
 def build_level_assignments(inst: MotherInstance, params: ParameterSet) -> LevelAssignment:
-    """Solve all thirty loci for one instance; errors carry their slot."""
+    """Solve all thirty loci for one instance; errors carry their slot.
+    Specs and points share the ALL_SLOTS tuples as their slot keys."""
     points: dict[tuple[int, int], LevelPoint] = {}
-    for (n, l) in ALL_SLOTS:
-        spec = spec_for_slot(n, l, inst, params)
+    for slot in ALL_SLOTS:
+        spec = spec_for_slot(slot, inst, params)
         try:
-            points[(n, l)] = level_point(spec)
+            points[slot] = level_point(spec)
         except (SearchError, AccuracyError) as err:
-            raise SearchError(f"slot (n={n}, l={l}): {err}") from err
+            raise SearchError(f"slot (n={slot[0]}, l={slot[1]}): {err}") from err
     return LevelAssignment(points=points)

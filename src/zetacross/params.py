@@ -48,7 +48,7 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParameterSet:
     """Exponents n (positive), orders p (any sign), moduli k (k^2 in (0,1))."""
 
@@ -66,7 +66,7 @@ class ParameterSet:
             if not isinstance(p_i, int):
                 raise DomainError(f"orders must be integers, got {p_i}")
         for k_i in self.k:
-            EllipticModulus(k_i)  # validates 0 < k^2 < 1
+            EllipticModulus.check(k_i)  # 0 < k^2 < 1, without the AGMs
 
 
 DEFAULT_PARAMS = ParameterSet(

@@ -2,7 +2,7 @@
 integer order, Jacobi elliptic sn/cn/dn, and the complete elliptic
 integral K."""
 
-from .types import ComplexPoint, EllipticModulus
+from .types import ComplexPoint
 from .gammafn import log_gamma_complex, recip_gamma_abs
 from .zeta import RS_SWITCHOVER, hardy_z, rs_theta, zeta_mod_sq
 
@@ -21,4 +21,4 @@ __all__ = [
 ]
 
 from .bessel import bessel_j  # noqa: E402
-from .jacobi import elliptic_k, jacobi_elliptic  # noqa: E402
+from .jacobi import EllipticModulus, elliptic_k, jacobi_elliptic  # noqa: E402

@@ -11,19 +11,14 @@ dn^2 = k'^2 + k^2 cn^2, which is cancellation-free on the real axis.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 from ..errors import DomainError, PoleError
-from .types import EllipticModulus, as_complex
+from .types import as_complex
 
 POLE_EXCLUSION = 1e-6
 
 _KINDS = ("SN", "CN", "DN")  # in the order sncndn_complex returns them
-
-
-def _as_modulus(k: float | EllipticModulus) -> EllipticModulus:
-    if isinstance(k, EllipticModulus):
-        return k
-    return EllipticModulus(float(k))
 
 
 def elliptic_k(k: float) -> float:
@@ -44,8 +39,39 @@ def elliptic_k(k: float) -> float:
     return math.pi / (2.0 * a)
 
 
-def _sncndn_real(u: float, k: float) -> tuple[float, float, float]:
-    """(sn, cn, dn) for real u, modulus k in [0, 1)."""
+@dataclass(frozen=True, slots=True)
+class EllipticModulus:
+    """Jacobi modulus k with 0 < k^2 < 1 (open interval), with its
+    quarter periods K = K(k) and K' = K(k'), computed once."""
+
+    k: float
+    big_k: float = field(init=False, compare=False, repr=False)
+    big_kp: float = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        EllipticModulus.check(self.k)
+        object.__setattr__(self, "big_k", elliptic_k(self.k))
+        object.__setattr__(self, "big_kp", elliptic_k(self.k_prime))
+
+    @staticmethod
+    def check(k: float) -> None:
+        """Validate k without paying for its quarter periods."""
+        if not (math.isfinite(k) and 0.0 < k * k < 1.0):
+            raise DomainError(f"elliptic modulus needs 0 < k^2 < 1, got k={k}")
+
+    @property
+    def k_prime(self) -> float:
+        return math.sqrt((1.0 - self.k) * (1.0 + self.k))
+
+
+def _as_modulus(k: float | EllipticModulus) -> EllipticModulus:
+    if isinstance(k, EllipticModulus):
+        return k
+    return EllipticModulus(float(k))
+
+
+def _sncndn_real(u: float, k: float, big_k: float) -> tuple[float, float, float]:
+    """(sn, cn, dn) for real u, modulus k in [0, 1) with K(k) = big_k."""
     k2 = k * k
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     if k < 1e-8:
@@ -53,22 +79,15 @@ def _sncndn_real(u: float, k: float) -> tuple[float, float, float]:
         sn = math.sin(u)
         cn = math.cos(u)
         return sn, cn, math.sqrt(1.0 - k2 * sn * sn)
-    big_k = elliptic_k(k)
     # quarter-period reduction into [0, K] with sign bookkeeping
     v = math.fmod(u, 4.0 * big_k)
     if v < 0.0:
         v += 4.0 * big_k
-    q, r = divmod(v, big_k)
-    qi = min(int(q), 3)
+    qi = min(int(v // big_k), 3)
     r = v - qi * big_k
-    if qi == 0:
-        w, s_sn, s_cn = r, 1.0, 1.0
-    elif qi == 1:
-        w, s_sn, s_cn = big_k - r, 1.0, -1.0
-    elif qi == 2:
-        w, s_sn, s_cn = r, -1.0, -1.0
-    else:
-        w, s_sn, s_cn = big_k - r, -1.0, 1.0
+    w = r if qi % 2 == 0 else big_k - r
+    s_sn = 1.0 if qi < 2 else -1.0
+    s_cn = 1.0 if qi in (0, 3) else -1.0
     # AGM chain and descending phase recursion
     a, b, c = 1.0, kp, k
     a_list = [a]
@@ -93,10 +112,8 @@ def _sncndn_real(u: float, k: float) -> tuple[float, float, float]:
 def pole_distance(u: complex, k: float | EllipticModulus) -> float:
     """Distance from u to the shared pole lattice 2mK + (2n+1) i K'."""
     mod = _as_modulus(k)
-    big_k = elliptic_k(mod.k)
-    big_kp = elliptic_k(mod.k_prime)
-    dx = math.remainder(u.real, 2.0 * big_k)
-    dy = math.remainder(u.imag - big_kp, 2.0 * big_kp)
+    dx = math.remainder(u.real, 2.0 * mod.big_k)
+    dy = math.remainder(u.imag - mod.big_kp, 2.0 * mod.big_kp)
     return math.hypot(dx, dy)
 
 
@@ -109,11 +126,10 @@ def sncndn_complex(u: complex, k: float | EllipticModulus) -> tuple[complex, com
             f"jacobi argument {u} within {dist:.2e} of a pole", pole=u
         )
     k2 = mod.k * mod.k
+    s, c, d = _sncndn_real(u.real, mod.k, mod.big_k)
     if u.imag == 0.0:
-        s, c, d = _sncndn_real(u.real, mod.k)
         return complex(s), complex(c), complex(d)
-    s, c, d = _sncndn_real(u.real, mod.k)
-    s1, c1, d1 = _sncndn_real(u.imag, mod.k_prime)
+    s1, c1, d1 = _sncndn_real(u.imag, mod.k_prime, mod.big_kp)
     den = c1 * c1 + k2 * s * s * s1 * s1
     sn = complex(s * d1, c * d * s1 * c1) / den
     cn = complex(c * c1, -s * d * s1 * d1) / den

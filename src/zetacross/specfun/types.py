@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from ..errors import DomainError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexPoint:
     """A finite point in the complex plane (NaN/inf rejected)."""
 
@@ -25,21 +25,6 @@ class ComplexPoint:
 
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
-
-
-@dataclass(frozen=True)
-class EllipticModulus:
-    """Jacobi modulus k with 0 < k^2 < 1 (open interval)."""
-
-    k: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and 0.0 < self.k * self.k < 1.0):
-            raise DomainError(f"elliptic modulus needs 0 < k^2 < 1, got k={self.k}")
-
-    @property
-    def k_prime(self) -> float:
-        return math.sqrt((1.0 - self.k) * (1.0 + self.k))
 
 
 def as_complex(z: complex | float | ComplexPoint) -> complex:

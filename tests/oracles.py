@@ -1,11 +1,12 @@
 """Independent oracles used to freeze expected values in the test suite.
 
 These deliberately do not share code with the package: fixed-term
-Euler-Maclaurin with literal Bernoulli fractions, an asymptotic-series
+Euler-Maclaurin with literal Bernoulli fractions (and the package's
+former Bernoulli recurrence as an exact reference), an asymptotic-series
 rotation angle, direct series for the Bessel zero bracket, plain AGM
-for the elliptic quarter period (and the package's former AGM loop as a
-bit-for-bit reference), and random triples for the generic elimination
-identity. Keep them boring.
+for the elliptic quarter period (and the package's former AGM loop and
+Jacobi path as bit-for-bit references), and random triples for the
+generic elimination identity. Keep them boring.
 """
 
 from __future__ import annotations
@@ -23,6 +24,20 @@ _B2K = [
     Fraction(854513, 138), Fraction(-236364091, 2730), Fraction(8553103, 6),
     Fraction(-23749461029, 870), Fraction(8615841276005, 14322),
 ]
+
+
+def bernoulli_reference(n: int) -> list[Fraction]:
+    """B_0 .. B_n by the recurrence sum_{j<=m} C(m+1, j) B_j = 0 over
+    exact Fractions (B_1 = -1/2): bernoulli must give them exactly."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        binom = 1  # C(m+1, j), updated incrementally
+        for j in range(m):
+            acc += binom * b[j]
+            binom = binom * (m + 1 - j) // (j + 1)
+        b.append(-acc / (m + 1))
+    return b
 
 
 def zeta_half_oracle(t: float, n_terms: int = 1000) -> complex:
@@ -118,6 +133,51 @@ def elliptic_k_reference(k: float) -> float:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return math.pi / (2.0 * a)
+
+
+def sncndn_reference(u: complex, k: float) -> tuple[complex, complex, complex]:
+    """(sn, cn, dn) away from the poles by the package's former path,
+    which took K(k) and K(k') afresh from elliptic_k_reference on every
+    call: sncndn_complex must match it bit for bit."""
+    kp = math.sqrt((1.0 - k) * (1.0 + k))
+
+    def real(x: float, m: float) -> tuple[float, float, float]:
+        m2 = m * m
+        mp = math.sqrt((1.0 - m) * (1.0 + m))
+        if m < 1e-8:
+            sn, cn = math.sin(x), math.cos(x)
+            return sn, cn, math.sqrt(1.0 - m2 * sn * sn)
+        big = elliptic_k_reference(m)
+        v = math.fmod(x, 4.0 * big)
+        if v < 0.0:
+            v += 4.0 * big
+        qi = min(int(divmod(v, big)[0]), 3)
+        r = v - qi * big
+        w, s_sn, s_cn = ((r, 1.0, 1.0), (big - r, 1.0, -1.0),
+                         (r, -1.0, -1.0), (big - r, -1.0, 1.0))[qi]
+        a, b, c = 1.0, mp, m
+        a_list, c_list, n = [a], [c], 0
+        while abs(c) > 1e-16 * a and n < 40:
+            a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+            a_list.append(a)
+            c_list.append(c)
+            n += 1
+        phi = (2.0 ** n) * a_list[n] * w
+        for i in range(n, 0, -1):
+            arg = max(-1.0, min(1.0, c_list[i] / a_list[i] * math.sin(phi)))
+            phi = 0.5 * (phi + math.asin(arg))
+        sn, cn = math.sin(phi), math.cos(phi)
+        return s_sn * sn, s_cn * cn, math.sqrt(1.0 - m2 * sn * sn)
+
+    s, c, d = real(u.real, k)
+    if u.imag == 0.0:
+        return complex(s), complex(c), complex(d)
+    s1, c1, d1 = real(u.imag, kp)
+    k2 = k * k
+    den = c1 * c1 + k2 * s * s * s1 * s1
+    return (complex(s * d1, c * d * s1 * c1) / den,
+            complex(c * c1, -s * d * s1 * d1) / den,
+            complex(d * c1 * d1, -k2 * s * c * s1) / den)
 
 
 def crossbreeding_property_residuals(count: int, seed: int = 123456789) -> np.ndarray:

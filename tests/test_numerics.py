@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetacross.errors import AccuracyError, SearchError
+from zetacross.errors import AccuracyError, DomainError, SearchError
 from zetacross.numerics import (
     NeumaierSum,
     adaptive_quadrature,
@@ -14,6 +14,8 @@ from zetacross.numerics import (
     expand_bracket,
     gk15_panel,
 )
+
+from oracles import bernoulli_reference
 
 
 def test_neumaier_recovers_cancellation():
@@ -31,6 +33,14 @@ def test_bernoulli_values():
     assert bernoulli(12) == Fraction(-691, 2730)
     assert bernoulli(3) == 0
     assert bernoulli(30) == Fraction(8615841276005, 14322)
+    with pytest.raises(DomainError):
+        bernoulli(-2)
+
+
+def test_bernoulli_matches_the_fraction_recurrence_exactly():
+    # the tangent-number route gives the recurrence's B_0 .. B_60 exactly,
+    # so the float tables rounded from them keep every bit
+    assert [bernoulli(n) for n in range(61)] == bernoulli_reference(60)
 
 
 def test_bisect_and_newton():

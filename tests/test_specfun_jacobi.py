@@ -6,10 +6,11 @@ import random
 import pytest
 
 from zetacross.errors import DomainError, PoleError
+from zetacross.params import ParameterSet
 from zetacross.specfun import EllipticModulus, elliptic_k, jacobi, jacobi_elliptic
 from zetacross.specfun.jacobi import pole_distance, sncndn_complex
 
-from oracles import agm_k_oracle, elliptic_k_reference
+from oracles import agm_k_oracle, elliptic_k_reference, sncndn_reference
 
 K_08 = 1.9953027776647299  # frozen from the AGM oracle
 
@@ -113,3 +114,37 @@ def test_imaginary_argument_forms():
     cn = jacobi_elliptic("CN", complex(0.0, y), k)
     assert sn == pytest.approx(1j * s1 / c1, rel=1e-12)
     assert cn == pytest.approx(1.0 / c1, rel=1e-12)
+
+
+def test_modulus_computes_its_quarter_periods_once(monkeypatch):
+    calls = []
+
+    def counting(k):
+        calls.append(k)
+        return elliptic_k(k)
+
+    monkeypatch.setattr(jacobi, "elliptic_k", counting)
+    mod = EllipticModulus(0.6)
+    assert calls == [0.6, mod.k_prime]
+    assert (mod.big_k, mod.big_kp) == (elliptic_k(0.6), elliptic_k(mod.k_prime))
+    del calls[:]
+    for kind in ("SN", "CN", "DN"):
+        for u in (0.3, complex(0.3, 0.4), complex(0.0, 1.1), complex(2.0, -0.7)):
+            jacobi_elliptic(kind, u, mod)
+            pole_distance(complex(u), mod)
+    assert calls == []  # 3 per call on the real axis and 4 off it before
+    # parameter sets validate their moduli without paying for the AGMs
+    ParameterSet(n=(1,) * 6, p=(0,) * 6, k=(0.5, 0.6, 0.7, 0.5, 0.6, 0.7))
+    assert calls == []
+    assert mod == EllipticModulus(0.6) and repr(mod) == "EllipticModulus(k=0.6)"
+
+
+def test_sncndn_matches_the_per_call_quarter_period_path_bit_for_bit():
+    rng = random.Random(141421)
+    for _ in range(3000):
+        k = math.sqrt(rng.uniform(0.05, 0.95))
+        mod = EllipticModulus(k)
+        x = rng.uniform(-8.0, 8.0)
+        y = rng.uniform(-1.9, 1.9) * elliptic_k(mod.k_prime)
+        u = rng.choice((complex(x, 0.0), complex(0.0, y), complex(x, y)))
+        assert sncndn_complex(u, mod) == sncndn_reference(u, k), (k, u)
