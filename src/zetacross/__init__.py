@@ -32,7 +32,6 @@ from .params import DEFAULT_PARAMS, ParameterSet, draw_parameter_set  # noqa: E4
 from .harness import (  # noqa: E402,F401
     RunConfig,
     emit_atlas,
-    load_config,
     parse_config,
     run,
 )

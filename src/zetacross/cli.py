@@ -7,25 +7,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .critline import LadderModel
 from .errors import ConfigError, ZetacrossError
-from .harness import (
-    RunConfig,
-    emit_atlas,
-    load_config,
-    run,
-    write_report,
-)
-
-
-def _parse_l_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x)
-    except ValueError as err:
-        raise ConfigError(f"bad L list {text!r}") from err
+from .harness import RunConfig, emit_atlas, parse_config, run, write_report
 
 
 def _parse_slots(text: str) -> list[tuple[int, int]]:
@@ -45,15 +30,12 @@ def _parse_slots(text: str) -> list[tuple[int, int]]:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    if getattr(args, "U", None) is not None:
-        overrides["U"] = args.U
-    if getattr(args, "L", None) is not None:
-        overrides["L_list"] = _parse_l_list(args.L)
-    if getattr(args, "ladder", None) is not None:
-        overrides["ladder"] = LadderModel.parse(args.ladder)
-    return replace(config, **overrides) if overrides else config
+    """The config file's lines, each flag given replacing its key's value;
+    an undecodable byte reads as U+FFFD, so its line is a bad line."""
+    text = args.config.read_text(errors="replace") if args.config else ""
+    given = vars(args)
+    flags = {key: given[key] for key in ("U", "L_list", "ladder") if given[key] is not None}
+    return parse_config(text, flags)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,10 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None,
                         help="flat key = value config file")
-    common.add_argument("--U", type=float, default=None)
-    common.add_argument("--L", type=str, default=None,
+    common.add_argument("--U", default=None, help="window width, in (0, pi/4)")
+    common.add_argument("--L", dest="L_list", metavar="L", default=None,
                         help="comma-separated window indices")
-    common.add_argument("--ladder", type=str, default=None,
+    common.add_argument("--ladder", default=None,
                         help="asymptotic | affine:DELTA")
 
     p_verify = sub.add_parser("verify", parents=[common],
@@ -94,6 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         if args.command == "verify":
+            args.out.open("a").close()  # an unwritable --out fails before the run
             report = run(config)
             write_report(report, args.out)
             ok = report["payload"]["certified"]
@@ -113,6 +96,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        print(f"file error: {err}", file=sys.stderr)
         return 2
     except ZetacrossError as err:
         print(f"error: {err}", file=sys.stderr)

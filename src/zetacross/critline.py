@@ -95,9 +95,7 @@ class LadderModel:
                 return cls("AFFINE", float(text.split(":", 1)[1]))
             except ValueError as err:
                 raise ConfigError(f"bad affine ladder delta in {text!r}") from err
-        if text == "affine":
-            return cls("AFFINE", 0.0)
-        raise ConfigError(f"cannot parse ladder model {text!r}")
+        raise ConfigError(f"ladder model {text!r} is not asymptotic or affine:DELTA")
 
     def config_string(self) -> str:
         return "asymptotic" if self.kind == "ASYMPTOTIC" else f"affine:{self.delta!r}"

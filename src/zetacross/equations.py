@@ -18,6 +18,7 @@ equal theta A.b2 B.b2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,12 +37,8 @@ TRANSMUTATION_SLOTS = {
     "T5": (7, 12),
 }
 
-# the ten unordered pairs, in the canonical listing order
-CROSSBREED_PAIRS = (
-    ("T1", "T2"), ("T1", "T3"), ("T1", "T4"), ("T1", "T5"),
-    ("T2", "T3"), ("T2", "T4"), ("T2", "T5"),
-    ("T3", "T4"), ("T3", "T5"), ("T4", "T5"),
-)
+# every two of the five, in the canonical listing order (T1,T2), (T1,T3), ..., (T4,T5)
+CROSSBREED_PAIRS = tuple(itertools.combinations(TRANSMUTATION_IDS, 2))
 
 # each listed pair keyed by itself, so the equations share its tuples
 _LISTED_PAIR = {pair: pair for pair in CROSSBREED_PAIRS}

@@ -103,8 +103,8 @@ _CONFIG_KEYS = {
 }
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse the flat key = value form; unknown keys are errors."""
+def parse_config(text: str, flags: dict[str, str] | None = None) -> RunConfig:
+    """Parse key = value lines; a flags entry overrides its key. Unknown keys fail."""
     values: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -114,6 +114,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"bad config line {line!r}")
         key, _, val = line.partition("=")
         values[key.strip()] = val.strip()
+    values.update(flags or {})
 
     kwargs: dict = {}
     for key, val in values.items():
@@ -132,10 +133,6 @@ def parse_config(text: str) -> RunConfig:
         except DomainError as err:
             raise ConfigError(f"bad parameter set: {err}") from err
     return RunConfig(**kwargs)
-
-
-def load_config(path: str | Path) -> RunConfig:
-    return parse_config(Path(path).read_text())
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +234,7 @@ def run(config: RunConfig) -> dict:
         timings[str(L)] = time.perf_counter() - t0
 
     payload = {
-        "config": json.loads(json.dumps({
+        "config": {
             "U": config.U,
             "L_list": list(config.L_list),
             "ladder": config.ladder.config_string(),
@@ -246,7 +243,7 @@ def run(config: RunConfig) -> dict:
             "eq_res": config.eq_res,
             "params": {"n": list(config.params.n), "p": list(config.params.p),
                        "k": list(config.params.k)},
-        })),
+        },
         "runs": runs,
         "reconciled_notes": RECONCILED_NOTES,
         "interpretation_notes": INTERPRETATION_NOTES,

@@ -24,6 +24,7 @@ are deterministic: fixed grids, fixed expansion schedules, first-bracket
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -351,8 +352,8 @@ def trace_level_arc(spec: LevelCurveSpec, start: LevelPoint, step: float,
     """Predictor-corrector walk along |F(s)| = target.
 
     Every vertex is re-certified to ARC_RESIDUAL_TOL * max(1, target);
-    the walk stops early at pole-exclusion zones or when the corrector
-    fails to re-converge, returning the vertices collected so far.
+    the walk stops early at pole-exclusion zones, at the family's domain
+    edge (Bessel's |s| = 50) or when the corrector fails to re-converge.
     """
     if not (1e-4 < step < 1e-1):
         raise DomainError(f"arc step must lie in (1e-4, 1e-1), got {step}")
@@ -372,55 +373,56 @@ def trace_level_arc(spec: LevelCurveSpec, start: LevelPoint, step: float,
     out: list[ComplexPoint] = []
     s = start.s.to_complex()
     prev_tangent: complex | None = None
-    for _ in range(count):
-        grad = gradient(s)
-        norm = abs(grad)
-        if norm >= 1e-12:
-            tangent = complex(-grad.imag, grad.real) / norm
-            if prev_tangent is not None and (
-                tangent.real * prev_tangent.real + tangent.imag * prev_tangent.imag
-            ) < 0.0:
-                tangent = -tangent
-            predicted = s + step * tangent
-        else:
-            # stationary modulus (saddle): probe compass directions and
-            # keep the first best off-level defect
-            best = None
-            for j in range(16):
-                direction = cmath.exp(complex(0.0, 2.0 * math.pi * j / 16.0))
-                cand = s + step * direction
-                defect = abs(fam.abs_value(cand) - v)
-                if best is None or defect < best[0]:
-                    best = (defect, cand)
-            predicted = best[1]
-            tangent = (predicted - s) / abs(predicted - s)
-        cgrad = gradient(predicted)
-        cnorm = abs(cgrad)
-        if cnorm < 1e-12:
-            break  # cannot correct without a usable normal
-        unit_grad = cgrad / cnorm
+    with contextlib.suppress(DomainError):  # the domain's edge or a pole ends the walk
+        for _ in range(count):
+            grad = gradient(s)
+            norm = abs(grad)
+            if norm >= 1e-12:
+                tangent = complex(-grad.imag, grad.real) / norm
+                if prev_tangent is not None and (
+                    tangent.real * prev_tangent.real + tangent.imag * prev_tangent.imag
+                ) < 0.0:
+                    tangent = -tangent
+                predicted = s + step * tangent
+            else:
+                # stationary modulus (saddle): probe compass directions and
+                # keep the first best off-level defect
+                best = None
+                for j in range(16):
+                    direction = cmath.exp(complex(0.0, 2.0 * math.pi * j / 16.0))
+                    cand = s + step * direction
+                    defect = abs(fam.abs_value(cand) - v)
+                    if best is None or defect < best[0]:
+                        best = (defect, cand)
+                predicted = best[1]
+                tangent = (predicted - s) / abs(predicted - s)
+            cgrad = gradient(predicted)
+            cnorm = abs(cgrad)
+            if cnorm < 1e-12:
+                break  # cannot correct without a usable normal
+            unit_grad = cgrad / cnorm
 
-        def along_normal(r: float) -> float:
-            return fam.abs_value(predicted + r * unit_grad)
+            def along_normal(r: float) -> float:
+                return fam.abs_value(predicted + r * unit_grad)
 
-        root = None
-        half = 0.25 * step
-        for _ in range(4):
-            root = _bisect_on_path(along_normal, v, -half, half)
-            if root is not None:
+            root = None
+            half = 0.25 * step
+            for _ in range(4):
+                root = _bisect_on_path(along_normal, v, -half, half)
+                if root is not None:
+                    break
+                half *= 2.0
+            if root is None:
                 break
-            half *= 2.0
-        if root is None:
-            break
-        nxt = predicted + root * unit_grad
-        if fam.reject_near_pole(nxt):
-            break
-        resid = abs(fam.abs_value(nxt) - v)
-        if resid > ARC_RESIDUAL_TOL * max(1.0, v):
-            break
-        out.append(ComplexPoint.from_complex(nxt))
-        prev_tangent = tangent
-        s = nxt
+            nxt = predicted + root * unit_grad
+            if fam.reject_near_pole(nxt):
+                break
+            resid = abs(fam.abs_value(nxt) - v)
+            if resid > ARC_RESIDUAL_TOL * max(1.0, v):
+                break
+            out.append(ComplexPoint.from_complex(nxt))
+            prev_tangent = tangent
+            s = nxt
     return out
 
 

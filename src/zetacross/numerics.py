@@ -75,28 +75,26 @@ def bernoulli(n: int) -> Fraction:
 # Bracketed root finding: bracket expansion and bisection to collapse
 # --------------------------------------------------------------------------
 
-def expand_bracket(f: Callable[[float], float], lo: float, hi: float,
-                   max_expand: int = 60) -> tuple[float, float]:
+def expand_bracket(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Expand [lo, hi] geometrically to the right until f changes sign.
 
     An end where f is exactly zero counts as a sign change, so the
-    result always suits bisect_root. Raises SearchError when max_expand
-    widenings find no sign change.
+    result always suits bisect_root. Raises SearchError when 60
+    widenings (a factor 1.5^60, about 4e10) find no sign change.
     """
     flo = f(lo)
     fhi = f(hi)
-    for _ in range(max_expand):
+    for _ in range(60):
         if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
             return lo, hi
         lo, flo = hi, fhi
         hi = hi * 1.5
         fhi = f(hi)
-    raise SearchError(f"no sign change in [{lo}, {hi}] after {max_expand} expansions")
+    raise SearchError(f"no sign change in [{lo}, {hi}] after 60 expansions")
 
 
-def bisect_root(f: Callable[[float], float], a: float, b: float,
-                max_iter: int = 200) -> float:
-    """Deterministic bisection down to bracket collapse.
+def bisect_root(f: Callable[[float], float], a: float, b: float) -> float:
+    """Deterministic bisection down to bracket collapse, at most 200 halvings.
 
     Requires f(a) and f(b) of opposite sign (or one exactly zero).
     Returns the endpoint with the smaller |f|.
@@ -109,7 +107,7 @@ def bisect_root(f: Callable[[float], float], a: float, b: float,
         return b
     if (fa < 0.0) == (fb < 0.0):
         raise SearchError(f"bisect_root: no sign change on [{a}, {b}]")
-    for _ in range(max_iter):
+    for _ in range(200):
         m = 0.5 * (a + b)
         if m <= a or m >= b:  # bracket collapsed to adjacent floats
             break

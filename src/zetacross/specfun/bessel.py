@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 
-from ..errors import AccuracyError
+from ..errors import AccuracyError, DomainError
 from ..numerics import NeumaierSum
 from .types import as_complex
 
 _SERIES_RADIUS = 8.0
 
 
-def _series(p: int, s: complex, max_terms: int = 400) -> complex:
+def _series(p: int, s: complex) -> complex:
     """Ascending series at integer order p >= 0."""
     half = 0.5 * s
     # leading (s/2)^p / p!
@@ -30,7 +30,7 @@ def _series(p: int, s: complex, max_terms: int = 400) -> complex:
     re.add(term.real)
     im.add(term.imag)
     acc_scale = abs(term)
-    for m in range(max_terms):
+    for m in range(400):
         term *= ratio / ((m + 1.0) * (m + p + 1.0))
         re.add(term.real)
         im.add(term.imag)
@@ -73,8 +73,7 @@ def _miller(p: int, s: complex) -> complex:
             if chain_q is not None:
                 chain_q *= 1e-250
     if chain_q == 0:
-        # dynamic range beyond double precision (far outside the
-        # validated |s| <= 50 domain)
+        # dynamic range beyond double precision, as at orders far above |s|
         raise AccuracyError(f"bessel recurrence range exhausted at |s| = {r:.3g}")
     ref = _series(q, s)
     return chain_p * (ref / chain_q)
@@ -84,8 +83,8 @@ def bessel_j(p: int, s: complex | float) -> complex:
     """J_p(s) for integer p and complex s.
 
     Accuracy is certified for |s| <= 50 (relative error <= 1e-11, in
-    practice ~1e-13); beyond ~2x that the fixed normalization-order
-    schedule starts losing digits.
+    practice ~1e-13); beyond it the fixed normalization-order schedule
+    loses digits, so a larger |s| raises DomainError.
     """
     s = as_complex(s)
     if p < 0:
@@ -93,6 +92,9 @@ def bessel_j(p: int, s: complex | float) -> complex:
         return -v if p % 2 else v
     if s == 0:
         return complex(1.0 if p == 0 else 0.0, 0.0)
-    if abs(s) <= _SERIES_RADIUS:
+    r = abs(s)
+    if r > 50.0:
+        raise DomainError(f"bessel_j needs |s| <= 50, got |s| = {r:.6g}")
+    if r <= _SERIES_RADIUS:
         return _series(p, s)
     return _miller(p, s)

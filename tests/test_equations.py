@@ -99,6 +99,14 @@ def test_bessel_transmutation_with_drawn_orders(pipeline):
     assert abs(t.b[0] - inst.theta * t.b[1] + t.b[2]) <= 1e-8 * max(t.b)
 
 
+def test_crossbreed_pairs_are_every_two_of_five_in_listing_order():
+    assert CROSSBREED_PAIRS == (
+        ("T1", "T2"), ("T1", "T3"), ("T1", "T4"), ("T1", "T5"),
+        ("T2", "T3"), ("T2", "T4"), ("T2", "T5"),
+        ("T3", "T4"), ("T3", "T5"), ("T4", "T5"),
+    )
+
+
 def test_second_generation_listing(pipeline):
     inst, assign = pipeline
     eqs = second_generation(inst, assign)

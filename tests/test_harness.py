@@ -5,8 +5,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zetacross import equations, harness
+from zetacross import cli, equations, harness
 from zetacross.cli import main as cli_main
 from zetacross.critline import LadderModel, build_mother_instance
 from zetacross.errors import ConfigError
@@ -65,6 +67,113 @@ def test_config_validation():
             parse_config(line + "\n")
     with pytest.raises(ConfigError):
         build_mother_instance(math.pi / 8, 20, LadderModel(), "ASYMPTOTIC")
+
+
+# each key's good value forms, then bad ones; arbitrary text is tried too,
+# and good forms are drawn twice as often, so a fair share of draws parse
+_FORMS = {
+    "U": (["0.3", "0.2"], ["nan", "-inf", "1e-400", "2"]),
+    "L_list": (["20", "20,100", "20,,50"], ["5", "-3", ""]),
+    "ladder": (["asymptotic", "AFFINE:1.5"], ["affine:-1", "affine", "spiral"]),
+    "n": (["1,2,3,1,2,3"], ["0,1,1,1,1,1"]),
+    "p": (["-1,0,2,1,-2,3"], ["1,2"]),
+    "k": (["0.3,0.4,0.5,0.6,0.7,0.8"], ["0.5,0.6,0.7,0.5,0.6,1.5"]),
+}
+
+
+def _value(key):
+    good, bad = _FORMS[key]
+    return st.one_of(st.sampled_from(good), st.sampled_from(good),
+                     st.sampled_from(bad), st.text(max_size=24))
+
+
+def _line(key):
+    return _value(key).map(lambda val: f"{key} = {val}")
+
+
+# a line for one key, the three parameter lines together, or any text
+_LINES = st.one_of(
+    st.sampled_from(["U", "L_list", "ladder"]).flatmap(_line),
+    st.sampled_from(sorted(_FORMS)).flatmap(_line),
+    st.tuples(_line("n"), _line("p"), _line("k")).map("\n".join),
+    st.text(max_size=40),
+)
+_FLAGS = st.fixed_dictionaries(
+    {}, optional={key: _value(key) for key in ("U", "L_list", "ladder")})
+
+
+# hypothesis reports a failure through an import that warns of a third-party
+# deprecation; ignored, so a failure shows as one rather than an internal error
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=400, deadline=None, database=None)
+@given(lines=st.lists(_LINES, max_size=5), flags=_FLAGS)
+def test_settings_reach_run_config_or_raise_config_error(lines, flags):
+    try:
+        config = parse_config("\n".join(lines), flags)
+    except ConfigError:
+        return
+    assert isinstance(config, RunConfig)
+    # a flag's value is the one its key takes, whatever the file says
+    if "U" in flags:
+        assert config.U == float(flags["U"])
+    if "L_list" in flags:
+        assert config.L_list == tuple(int(x) for x in flags["L_list"].split(",") if x)
+    if "ladder" in flags:
+        assert config.ladder == LadderModel.parse(flags["ladder"])
+
+
+def test_a_flag_replaces_the_file_line_for_its_key(tmp_path):
+    assert parse_config("U = 0.2\nL_list = 30\n", {"U": "0.3"}) == RunConfig(
+        U=0.3, L_list=(30,))
+    # the file's L_list and ladder lines are never read, so their bad
+    # values do not matter; its U line still counts
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("U = 0.2\nL_list = 5\nladder = spiral\n")
+    args = cli._build_parser().parse_args(
+        ["verify", "--config", str(cfg), "--L", "20,30", "--ladder", "affine:2"])
+    assert cli._config_from_args(args) == RunConfig(
+        U=0.2, L_list=(20, 30), ladder=LadderModel("AFFINE", 2.0))
+
+
+def test_a_flag_value_with_a_newline_sets_no_other_key():
+    # merged key by key, not as config text: the whole value is the
+    # flag's own key's value, and the line inside it sets nothing
+    with pytest.raises(ConfigError, match="bad value for 'U'"):
+        parse_config("L_list = 20\n", {"U": "0.3\nL_list = 50"})
+    with pytest.raises(ConfigError, match="ladder model"):
+        parse_config("", {"ladder": "asymptotic\nU = 0.2"})
+
+
+def test_cli_bad_flag_values_exit_2_with_the_file_messages(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    for argv, message in ((["--L", "20,x"], "bad value for 'L_list'"),
+                          (["--U", "x"], "bad value for 'U'"),
+                          (["--ladder", "affine"], "not asymptotic or affine:DELTA"),
+                          (["--U", "0.3\nL_list = 50"], "bad value for 'U'")):
+        assert cli_main(["verify", *argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_file_errors_exit_2_with_one_line_before_the_run(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run", runs.append)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    for argv in (["verify", "--config", str(tmp_path / "missing.cfg")],
+                 ["verify", "--config", str(tmp_path)],
+                 ["verify", "--L", "20", "--out", str(tmp_path / "missing" / "r.json")],
+                 ["verify", "--L", "20", "--out", str(tmp_path)],
+                 ["atlas", "--L", "20", "--slots", "9:1", "--out-dir", str(blocker / "sub")]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and err.count("\n") == 1
+    # undecodable bytes read as U+FFFD, which makes a bad line: a config error
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"\xff\xfeU = 0.3\n")
+    assert cli_main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert runs == []
 
 
 @pytest.fixture(scope="module")

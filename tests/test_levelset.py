@@ -11,13 +11,14 @@ from zetacross.levelset import (
     ALL_SLOTS,
     LevelCurveSpec,
     LevelFamily,
+    LevelPoint,
     build_level_assignments,
     family_for_slot,
     level_point,
     trace_level_arc,
 )
 from zetacross.params import DEFAULT_PARAMS, SplitMix64, draw_parameter_set
-from zetacross.specfun import elliptic_k, jacobi_elliptic
+from zetacross.specfun import ComplexPoint, bessel_j, elliptic_k, jacobi_elliptic
 
 
 def _spec(family, v):
@@ -135,6 +136,21 @@ def test_trace_count_zero_and_step_validation():
     assert trace_level_arc(spec, start, 0.05, 0) == []
     with pytest.raises(DomainError):
         trace_level_arc(spec, start, 0.5, 10)
+
+
+def test_trace_bessel_ends_at_the_domain_edge():
+    # |J_0| = J_0(48.8) is a loop around the zero j_{0,16} = 49.48 that
+    # reaches past |s| = 50; the walk ends where bessel_j's domain does,
+    # as at a pole exclusion, instead of raising
+    x0 = 48.8
+    v = abs(bessel_j(0, x0))
+    spec = _spec(LevelFamily.bessel(0), v)
+    start = LevelPoint(spec=spec, s=ComplexPoint(x0, 0.0), modulus=v)
+    arc = trace_level_arc(spec, start, 0.05, 200)
+    assert 10 < len(arc) < 200
+    assert max(abs(vertex.to_complex()) for vertex in arc) <= 50.0
+    for vertex in arc:
+        assert abs(abs(bessel_j(0, vertex.to_complex())) - v) <= 1e-9
 
 
 def test_family_for_slot_parameter_indexing():

@@ -57,8 +57,13 @@ def test_expand_bracket():
     lo, hi = expand_bracket(lambda x: x - 1.0, 1.0, 2.0)
     assert (lo, hi) == (1.0, 2.0)
     assert bisect_root(lambda x: x - 1.0, lo, hi) == 1.0
-    with pytest.raises(SearchError):
-        expand_bracket(lambda x: 1.0, 1.0, 2.0, max_expand=5)
+    # the cap is fixed: 60 widenings (hi reaches 2 * 1.5^60) after the
+    # two end evaluations, then a typed error
+    calls = []
+    with pytest.raises(SearchError, match="after 60 expansions"):
+        expand_bracket(lambda x: calls.append(x) or 1.0, 1.0, 2.0)
+    assert len(calls) == 62
+    assert calls[-1] == pytest.approx(2.0 * 1.5 ** 60)
 
 
 def test_gk15_degree_exactness():

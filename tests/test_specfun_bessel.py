@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from zetacross.errors import AccuracyError
+from zetacross.errors import AccuracyError, DomainError
 from zetacross.specfun import bessel_j
 
 from oracles import bisect_oracle, j0_series_oracle
@@ -60,10 +60,14 @@ def test_regime_seam_consistency():
 
 
 def test_recurrence_range_exhausted_is_typed():
-    # far outside |s| <= 50 the normalizing chain underflows to zero
+    # outside |s| <= 50 the argument is refused before any work
     for s in (1000.0, 700j):
-        with pytest.raises(AccuracyError, match="range exhausted"):
+        with pytest.raises(DomainError, match=r"\|s\| <= 50"):
             bessel_j(0, s)
+    # inside the domain, an order far above |s| still underflows the
+    # normalizing chain to zero
+    with pytest.raises(AccuracyError, match="range exhausted"):
+        bessel_j(500, 9.0)
 
 
 def test_deterministic():
