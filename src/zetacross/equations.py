@@ -13,7 +13,8 @@ applied uniformly (see the project notes on reconciled typos).
 Crossbreeding two instances A, B with the same factor theta multiplies
 the outer terms of one against the middle term of the other:
 (A.b1 + A.b3) B.b2 = (B.b1 + B.b3) A.b2, exactly, since both sides
-equal theta A.b2 B.b2.
+equal theta A.b2 B.b2. Like the transmutations, each crossbred equation
+is certified where it is made, to TERM_EQUALITY_TOL relative.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ CROSSBREED_PAIRS = tuple(itertools.combinations(TRANSMUTATION_IDS, 2))
 # each listed pair keyed by itself, so the equations share its tuples
 _LISTED_PAIR = {pair: pair for pair in CROSSBREED_PAIRS}
 
-TERM_EQUALITY_TOL = 1e-8  # relative; also bounds the ten crossbred residuals in run
+TERM_EQUALITY_TOL = 1e-8  # relative; bounds the transmutations and the ten crossbreeds
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,8 +91,8 @@ def make_transmutation(tid: str, inst: MotherInstance,
     n1, n2 = TRANSMUTATION_SLOTS[tid]
     b = []
     for l in (1, 2, 3):
-        w1 = assign.point(n1, l).modulus
-        w2 = assign.point(n2, l).modulus
+        w1 = assign.points[(n1, l)].modulus
+        w2 = assign.points[(n2, l)].modulus
         if l == 3:
             b_l = w1 * (w2 * w2)
         else:
@@ -113,7 +114,8 @@ def make_transmutation(tid: str, inst: MotherInstance,
 
 
 def crossbreed(a: TransmutationInstance, b: TransmutationInstance) -> MetaEquation:
-    """Eliminate the common factor between two instances."""
+    """Eliminate the common factor between two instances and certify the
+    equation's residual to TERM_EQUALITY_TOL, raising AccuracyError past it."""
     if a.theta != b.theta:
         raise ContractError(
             f"cannot crossbreed across different factors ({a.theta} vs {b.theta})"
@@ -121,13 +123,16 @@ def crossbreed(a: TransmutationInstance, b: TransmutationInstance) -> MetaEquati
     lhs = (a.b[0] + a.b[2]) * b.b[1]
     rhs = (b.b[0] + b.b[2]) * a.b[1]
     residual = abs(lhs - rhs) / max(lhs, rhs)
+    if not residual <= TERM_EQUALITY_TOL:
+        raise AccuracyError(f"crossbreed {a.id}x{b.id}: residual {residual:.3e} "
+                            f"exceeds {TERM_EQUALITY_TOL:.1e}", achieved=residual)
     pair = _LISTED_PAIR.get((a.id, b.id), (a.id, b.id))
     return MetaEquation(pair=pair, lhs=lhs, rhs=rhs, residual=residual)
 
 
 def second_generation(inst: MotherInstance,
                       assign: LevelAssignment) -> list[MetaEquation]:
-    """All ten crossbreeds of the five transmutations, in listing order."""
+    """All ten certified crossbreeds of the five transmutations, in listing order."""
     instances = {
         tid: make_transmutation(tid, inst, assign) for tid in TRANSMUTATION_IDS
     }

@@ -348,12 +348,13 @@ ARC_RESIDUAL_TOL = 1e-9
 
 
 def trace_level_arc(spec: LevelCurveSpec, start: LevelPoint, step: float,
-                    count: int) -> list[ComplexPoint]:
+                    count: int) -> list[LevelPoint]:
     """Predictor-corrector walk along |F(s)| = target.
 
-    Every vertex is re-certified to ARC_RESIDUAL_TOL * max(1, target);
-    the walk stops early at pole-exclusion zones, at the family's domain
-    edge (Bessel's |s| = 50) or when the corrector fails to re-converge.
+    Every vertex is a LevelPoint re-certified to ARC_RESIDUAL_TOL *
+    max(1, target); the walk stops early at pole-exclusion zones, at the
+    family's domain edge (Bessel's |s| = 50), when a step is below the
+    float spacing at s or when the corrector fails to re-converge.
     """
     if not (1e-4 < step < 1e-1):
         raise DomainError(f"arc step must lie in (1e-4, 1e-1), got {step}")
@@ -361,7 +362,7 @@ def trace_level_arc(spec: LevelCurveSpec, start: LevelPoint, step: float,
         raise DomainError("count must be nonnegative")
     fam = spec.family
     v = spec.target
-    if start.residual > RESIDUAL_TOL * max(1.0, v):
+    if not start.residual <= RESIDUAL_TOL * max(1.0, v):
         raise DomainError("start point is not certified")
 
     def gradient(at: complex) -> complex:
@@ -370,7 +371,7 @@ def trace_level_arc(spec: LevelCurveSpec, start: LevelPoint, step: float,
         gy = (fam.abs_value(at + h * 1j) - fam.abs_value(at - h * 1j)) / (2.0 * h)
         return complex(gx, gy)
 
-    out: list[ComplexPoint] = []
+    out: list[LevelPoint] = []
     s = start.s.to_complex()
     prev_tangent: complex | None = None
     with contextlib.suppress(DomainError):  # the domain's edge or a pole ends the walk
@@ -395,6 +396,8 @@ def trace_level_arc(spec: LevelCurveSpec, start: LevelPoint, step: float,
                     if best is None or defect < best[0]:
                         best = (defect, cand)
                 predicted = best[1]
+                if predicted == s:
+                    break  # the step is below the float spacing at s
                 tangent = (predicted - s) / abs(predicted - s)
             cgrad = gradient(predicted)
             cnorm = abs(cgrad)
@@ -417,10 +420,11 @@ def trace_level_arc(spec: LevelCurveSpec, start: LevelPoint, step: float,
             nxt = predicted + root * unit_grad
             if fam.reject_near_pole(nxt):
                 break
-            resid = abs(fam.abs_value(nxt) - v)
-            if resid > ARC_RESIDUAL_TOL * max(1.0, v):
+            vertex = LevelPoint(spec=spec, s=ComplexPoint.from_complex(nxt),
+                                modulus=fam.abs_value(nxt))
+            if not vertex.residual <= ARC_RESIDUAL_TOL * max(1.0, v):
                 break
-            out.append(ComplexPoint.from_complex(nxt))
+            out.append(vertex)
             prev_tangent = tangent
             s = nxt
     return out
@@ -455,18 +459,17 @@ class LevelAssignment:
 
     points: dict[tuple[int, int], LevelPoint]
 
-    def point(self, n: int, l: int) -> LevelPoint:
-        return self.points[(n, l)]
-
 
 def build_level_assignments(inst: MotherInstance, params: ParameterSet) -> LevelAssignment:
-    """Solve all thirty loci for one instance; errors carry their slot.
-    Specs and points share the ALL_SLOTS tuples as their slot keys."""
+    """Solve all thirty loci for one instance; errors keep their type and
+    carry their slot, an AccuracyError its achieved value too. Specs and
+    points share the ALL_SLOTS tuples as their slot keys."""
     points: dict[tuple[int, int], LevelPoint] = {}
     for slot in ALL_SLOTS:
         spec = spec_for_slot(slot, inst, params)
         try:
             points[slot] = level_point(spec)
         except (SearchError, AccuracyError) as err:
-            raise SearchError(f"slot (n={slot[0]}, l={slot[1]}): {err}") from err
+            err.args = (f"slot (n={slot[0]}, l={slot[1]}): {err}",)
+            raise
     return LevelAssignment(points=points)

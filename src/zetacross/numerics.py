@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .errors import AccuracyError, DomainError, SearchError
+from .errors import AccuracyError, SearchError
 
 
 # --------------------------------------------------------------------------
@@ -44,10 +44,7 @@ class NeumaierSum:
 # Bernoulli numbers (exact Fractions; callers round them into float tables)
 # --------------------------------------------------------------------------
 
-_B_EVEN: list[Fraction] = []  # B_2, B_4, ..., grown by doubling
-
-
-def _even_bernoulli(m: int) -> list[Fraction]:
+def even_bernoulli(m: int) -> list[Fraction]:
     """B_2 .. B_2m from the integer tangent numbers T_1 .. T_m (Brent and
     Harvey 2011): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
     t = [0] + [math.factorial(j - 1) for j in range(1, m + 1)]
@@ -56,19 +53,6 @@ def _even_bernoulli(m: int) -> list[Fraction]:
             t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
     return [Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
             for k in range(1, m + 1)]
-
-
-def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n, n >= 0 (B_1 = -1/2 convention)."""
-    if n < 0:
-        raise DomainError(f"bernoulli needs n >= 0, got {n}")
-    if n < 2:
-        return Fraction(1) if n == 0 else Fraction(-1, 2)
-    if n % 2:
-        return Fraction(0)
-    if len(_B_EVEN) < n // 2:
-        _B_EVEN[:] = _even_bernoulli(max(n // 2, 2 * len(_B_EVEN)))
-    return _B_EVEN[n // 2 - 1]
 
 
 # --------------------------------------------------------------------------

@@ -92,7 +92,10 @@ def bessel_j(p: int, s: complex | float) -> complex:
         return -v if p % 2 else v
     if s == 0:
         return complex(1.0 if p == 0 else 0.0, 0.0)
-    r = abs(s)
+    try:
+        r = abs(s)
+    except OverflowError:  # |s| beyond the float range
+        r = math.inf
     if r > 50.0:
         raise DomainError(f"bessel_j needs |s| <= 50, got |s| = {r:.6g}")
     if r <= _SERIES_RADIUS:

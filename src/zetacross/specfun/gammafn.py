@@ -13,8 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from ..errors import PoleError
-from ..numerics import bernoulli
+from ..errors import DomainError, PoleError
+from ..numerics import even_bernoulli
 from .types import as_complex
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -22,7 +22,7 @@ _POLE_RADIUS = 1e-6
 
 # B_{2k} / (2k (2k-1)) for the Stirling tail, k = 1..15.
 _STIRLING = tuple(
-    float(bernoulli(2 * k) / (2 * k * (2 * k - 1))) for k in range(1, 16)
+    float(b / (2 * k * (2 * k - 1))) for k, b in enumerate(even_bernoulli(15), 1)
 )
 
 
@@ -72,17 +72,25 @@ def _log_sin_pi(z: complex) -> complex:
 
 
 def log_gamma_complex(z: complex | float) -> complex:
-    """Principal-branch log-gamma, poles excluded within 1e-6."""
+    """Principal-branch log-gamma, poles excluded within 1e-6; an argument
+    whose |z| or pi z is beyond the float range raises DomainError."""
     z = as_complex(z)
-    if z.real < 0.5:
-        n = round(z.real)
-        if n <= 0 and abs(z - n) < _POLE_RADIUS:
-            raise PoleError(f"gamma pole at {n} (argument {z})", pole=complex(n, 0.0))
-        # Reflection: log G(z) = log pi - log sin(pi z) - log G(1 - z)
-        return math.log(math.pi) - _log_sin_pi(z) - _log_gamma_right(1.0 - z)
-    return _log_gamma_right(z)
+    try:
+        if z.real < 0.5:
+            n = round(z.real)
+            if n <= 0 and abs(z - n) < _POLE_RADIUS:
+                raise PoleError(f"gamma pole at {n} (argument {z})", pole=complex(n, 0.0))
+            # Reflection: log G(z) = log pi - log sin(pi z) - log G(1 - z)
+            return math.log(math.pi) - _log_sin_pi(z) - _log_gamma_right(1.0 - z)
+        return _log_gamma_right(z)
+    except (ValueError, OverflowError) as err:
+        raise DomainError(f"log-gamma argument {z} beyond the float range") from err
 
 
 def recip_gamma_abs(z: complex | float) -> float:
-    """1 / |Gamma(z)|, stable where |Gamma| under- or overflows."""
-    return math.exp(-log_gamma_complex(z).real)
+    """1 / |Gamma(z)|, stable where |Gamma| under- or overflows; a value
+    above the float range raises DomainError."""
+    try:
+        return math.exp(-log_gamma_complex(z).real)
+    except OverflowError as err:
+        raise DomainError(f"1/|gamma({z})| exceeds the float range") from err

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from ..numerics import NeumaierSum, bernoulli
+from ..numerics import NeumaierSum, even_bernoulli
 from .gammafn import log_gamma_complex
 
 RS_SWITCHOVER = 2000.0
@@ -50,7 +50,8 @@ def _logs_up_to(n: int) -> np.ndarray:
 
 
 # B_{2k} / (2k)! for the tail, k = 1..30, correctly rounded from the Fraction.
-_EM_TAIL = tuple(float(bernoulli(2 * k) / math.factorial(2 * k)) for k in range(1, 31))
+_EM_TAIL = tuple(float(b / math.factorial(2 * k))
+                 for k, b in enumerate(even_bernoulli(30), 1))
 
 
 def zeta_half_em(t: float) -> complex:

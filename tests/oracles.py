@@ -28,7 +28,8 @@ _B2K = [
 
 def bernoulli_reference(n: int) -> list[Fraction]:
     """B_0 .. B_n by the recurrence sum_{j<=m} C(m+1, j) B_j = 0 over
-    exact Fractions (B_1 = -1/2): bernoulli must give them exactly."""
+    exact Fractions (B_1 = -1/2): even_bernoulli must give the even ones
+    exactly."""
     b = [Fraction(1)]
     for m in range(1, n + 1):
         acc = Fraction(0)

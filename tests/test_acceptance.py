@@ -23,7 +23,13 @@ from zetacross.equations import (
     second_generation,
 )
 from zetacross.errors import SearchError
-from zetacross.levelset import LevelCurveSpec, LevelFamily, build_level_assignments, level_point
+from zetacross.levelset import (
+    RESIDUAL_TOL,
+    LevelCurveSpec,
+    LevelFamily,
+    build_level_assignments,
+    level_point,
+)
 from zetacross.params import SplitMix64, draw_parameter_set
 from zetacross.specfun import (
     bessel_j,
@@ -232,6 +238,38 @@ def test_criterion_5_theorem_certification(grid_sweep):
         "criterion 5 (ten exact equations + elimination invariance)", ok,
         f"worst residual {worst:.2e} <= 1e-8 over {n_eqs} equations, "
         f"ladder-swap change {worst_swap:.2e} <= 1e-10",
+    )
+    assert ok
+
+
+def test_level_points_against_mpmath(grid_sweep):
+    # every level point of the sweep, under both ladders, re-evaluated in
+    # 30-digit arithmetic meets the bound it was certified to
+    mpmath = pytest.importorskip("mpmath")
+    jacobi = {"SN": "sn", "CN": "cn", "DN": "dn"}
+    modulus = {
+        "COSINE": lambda fam, s: mpmath.cos(s),
+        "POWER": lambda fam, s: abs(s) ** fam.n,
+        "RECIP_GAMMA": lambda fam, s: mpmath.rgamma(s),
+        "BESSEL": lambda fam, s: mpmath.besselj(fam.p, s),
+        "JACOBI": lambda fam, s: mpmath.ellipfun(
+            jacobi[fam.jacobi_kind], s, m=mpmath.mpf(fam.modulus.k) ** 2),
+    }
+    worst = 0.0
+    n_points = 0
+    with mpmath.workdps(30):
+        for (_U, _L, _inst, draws) in grid_sweep["default"] + grid_sweep["swap"]:
+            for (_params, assign, _trans, _eqs) in draws:
+                for p in assign.points.values():
+                    fam, v = p.spec.family, p.spec.target
+                    ref = abs(modulus[fam.kind](fam, mpmath.mpc(p.s.re, p.s.im)))
+                    worst = max(worst, float(abs(ref - v)) / max(1.0, v))
+                    n_points += 1
+    ok = worst <= RESIDUAL_TOL and n_points == 1620
+    _report(
+        "level points (mpmath re-evaluation)", ok,
+        f"worst ||F(s)| - v| / max(1, v) = {worst:.2e} <= {RESIDUAL_TOL:.0e} "
+        f"over {n_points} points",
     )
     assert ok
 

@@ -366,3 +366,25 @@ def test_placement_gate_raises_once(monkeypatch):
     with pytest.raises(AccuracyError, match="mean-value residual"):
         build_mother_instance(math.pi / 8, 20, LadderModel("ASYMPTOTIC"))
     assert len(calls) == 1
+
+
+def test_means_against_mpmath_quadrature():
+    # each a_l against a 25-digit quadrature of Z(t)^2 f_l(phi1(t)) over
+    # the same lifted window, to the additivity gate's 10 QUAD_REL
+    mpmath = pytest.importorskip("mpmath")
+    model = LadderModel("ASYMPTOTIC")
+    inst = build_mother_instance(math.pi / 8, 20, model)
+    lifted = reverse_iterate(base_segment(math.pi / 8, 20), model)
+    weights = (lambda x: mpmath.sin(x) ** 2, lambda x: mpmath.cos(x) ** 2,
+               lambda x: mpmath.cos(2 * x))
+
+    def mean(f_l):
+        def g(t):
+            return mpmath.siegelz(t) ** 2 * f_l(t - (1 - mpmath.euler) * t / mpmath.log(t))
+        lo, hi = mpmath.mpf(lifted.lo), mpmath.mpf(lifted.hi)
+        return mpmath.quad(g, [lo, hi]) / (hi - lo)
+
+    with mpmath.workdps(25):
+        for a_l, f_l in zip(inst.a, weights):
+            ref = mean(f_l)
+            assert abs(a_l - ref) <= 10.0 * QUAD_REL * abs(ref)

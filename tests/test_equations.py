@@ -14,7 +14,7 @@ from zetacross.equations import (
     make_transmutation,
     second_generation,
 )
-from zetacross.errors import ContractError, DomainError
+from zetacross.errors import AccuracyError, ContractError, DomainError
 from zetacross.levelset import build_level_assignments
 from zetacross.params import DEFAULT_PARAMS, draw_parameter_set
 
@@ -46,6 +46,15 @@ def test_crossbreed_self_is_exact():
     a = TransmutationInstance(id="T3", b=(0.3, 0.9, 0.6), theta=1.0)
     eq = crossbreed(a, a)
     assert eq.residual == 0.0
+
+
+def test_crossbreed_gates_its_residual():
+    # (1 + 3) 2 = 8 against (1 + 4) 2 = 10: residual 0.2, far past 1e-8
+    a = TransmutationInstance(id="T1", b=(1.0, 2.0, 3.0), theta=2.0)
+    b = TransmutationInstance(id="T2", b=(1.0, 2.0, 4.0), theta=2.0)
+    with pytest.raises(AccuracyError, match=r"crossbreed T1xT2: residual 2\.000e-01") as err:
+        crossbreed(a, b)
+    assert err.value.achieved == pytest.approx(0.2)
 
 
 def test_crossbreed_theta_mismatch_rejected():

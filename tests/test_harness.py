@@ -1,6 +1,7 @@
 """Harness: config round-trip, reports, atlas, CLI."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -102,9 +103,6 @@ _FLAGS = st.fixed_dictionaries(
     {}, optional={key: _value(key) for key in ("U", "L_list", "ladder")})
 
 
-# hypothesis reports a failure through an import that warns of a third-party
-# deprecation; ignored, so a failure shows as one rather than an internal error
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=400, deadline=None, database=None)
 @given(lines=st.lists(_LINES, max_size=5), flags=_FLAGS)
 def test_settings_reach_run_config_or_raise_config_error(lines, flags):
@@ -226,6 +224,25 @@ def test_run_builds_each_transmutation_once(monkeypatch):
     report = run(RunConfig(L_list=(20,)))
     assert report["payload"]["certified"] is True
     assert calls == list(equations.TRANSMUTATION_IDS)
+
+
+def test_a_failed_crossbreed_is_its_window_error(monkeypatch):
+    # a window is certified exactly when no gate raised: a crossbred
+    # equation 1e-6 off fails where it is made and names its pair
+    made = harness.make_transmutation
+
+    def skewed(tid, inst, assign):
+        t = made(tid, inst, assign)
+        if tid != "T2":
+            return t
+        return dataclasses.replace(t, b=(t.b[0], t.b[1], t.b[2] * (1.0 + 1e-6)))
+
+    monkeypatch.setattr(harness, "make_transmutation", skewed)
+    payload = run(RunConfig(L_list=(20,)))["payload"]
+    entry = payload["runs"][0]
+    assert payload["certified"] is False
+    assert entry["certified"] is False
+    assert entry["error"].startswith("AccuracyError: crossbreed T1xT2: residual ")
 
 
 def test_report_json_serializable(small_report, tmp_path):

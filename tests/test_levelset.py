@@ -118,7 +118,7 @@ def test_trace_power_circle():
     arc = trace_level_arc(spec, start, 0.05, 100)
     assert len(arc) == 100
     for vertex in arc:
-        assert abs(vertex.to_complex()) == pytest.approx(2.0, abs=1e-9)
+        assert abs(vertex.s.to_complex()) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_trace_cosine_from_saddle():
@@ -127,7 +127,7 @@ def test_trace_cosine_from_saddle():
     arc = trace_level_arc(spec, start, 0.02, 30)
     assert len(arc) == 30
     for vertex in arc:
-        assert abs(spec.family.abs_value(vertex.to_complex()) - 1.0) <= 1e-9
+        assert abs(spec.family.abs_value(vertex.s.to_complex()) - 1.0) <= 1e-9
 
 
 def test_trace_count_zero_and_step_validation():
@@ -148,9 +148,9 @@ def test_trace_bessel_ends_at_the_domain_edge():
     start = LevelPoint(spec=spec, s=ComplexPoint(x0, 0.0), modulus=v)
     arc = trace_level_arc(spec, start, 0.05, 200)
     assert 10 < len(arc) < 200
-    assert max(abs(vertex.to_complex()) for vertex in arc) <= 50.0
+    assert max(abs(vertex.s.to_complex()) for vertex in arc) <= 50.0
     for vertex in arc:
-        assert abs(abs(bessel_j(0, vertex.to_complex())) - v) <= 1e-9
+        assert abs(abs(bessel_j(0, vertex.s.to_complex())) - v) <= 1e-9
 
 
 def test_family_for_slot_parameter_indexing():
@@ -180,7 +180,7 @@ def test_full_assignment_certified():
             assert p.spec.generation == "FIRST"
     # power slots are closed-form: |s| equals the target root exactly
     for l in (1, 2, 3):
-        p = assign.point(9, l)
+        p = assign.points[(9, l)]
         n_exp = p.spec.family.n
         assert abs(p.s.to_complex()) ** n_exp == pytest.approx(inst.c[l - 1], rel=1e-14)
 
@@ -193,6 +193,16 @@ def test_assignment_error_carries_slot():
     huge = dataclasses.replace(inst, c=(1e30,) + inst.c[1:])
     with pytest.raises(SearchError, match=r"slot \(n=11, l=1\)"):
         build_level_assignments(huge, DEFAULT_PARAMS)
+
+
+def test_assignment_error_keeps_the_gate_type(monkeypatch):
+    # a level point that fails its residual gate stays an AccuracyError,
+    # with its slot and its achieved value
+    inst = build_mother_instance(math.pi / 8, 50, LadderModel("ASYMPTOTIC"), "EXACT")
+    monkeypatch.setattr(LevelFamily, "abs_value", lambda self, s: math.nan)
+    with pytest.raises(AccuracyError, match=r"slot \(n=3, l=1\)") as err:
+        build_level_assignments(inst, DEFAULT_PARAMS)
+    assert math.isnan(err.value.achieved)
 
 
 def test_level_residual_gate_rejects_nan(monkeypatch):

@@ -23,7 +23,7 @@ def inst():
 
 def test_value_types_have_no_instance_dict(inst):
     assign = build_level_assignments(inst, DEFAULT_PARAMS)
-    point = assign.point(12, 1)
+    point = assign.points[(12, 1)]
     values = [
         base_segment(math.pi / 8, 100), inst.model, inst, DEFAULT_PARAMS,
         RunConfig(), point.spec.family, point.spec, point, _FAMILIES["JACOBI"],
@@ -45,8 +45,8 @@ def test_slots_families_and_pairs_are_shared(inst):
             assert key is slot and assign.points[key].spec.slot is slot
         for n, fam in ((3, LevelFamily.cosine()), (5, LevelFamily.recip_gamma())):
             for l in (1, 2, 3):
-                assert assign.point(n, l).spec.family is fam
-                assert assign.point(n + 5, l).spec.family is fam
+                assert assign.points[(n, l)].spec.family is fam
+                assert assign.points[(n + 5, l)].spec.family is fam
     for eq, pair in zip(second_generation(inst, first), CROSSBREED_PAIRS):
         assert eq.pair is pair
 

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from zetacross.errors import AccuracyError, DomainError, SearchError
+from zetacross.errors import AccuracyError, SearchError
 from zetacross.numerics import (
     NeumaierSum,
     adaptive_quadrature,
-    bernoulli,
     bisect_root,
+    even_bernoulli,
     expand_bracket,
     gk15_panel,
 )
@@ -27,20 +27,16 @@ def test_neumaier_recovers_cancellation():
 
 
 def test_bernoulli_values():
-    assert bernoulli(0) == 1
-    assert bernoulli(1) == Fraction(-1, 2)
-    assert bernoulli(2) == Fraction(1, 6)
-    assert bernoulli(12) == Fraction(-691, 2730)
-    assert bernoulli(3) == 0
-    assert bernoulli(30) == Fraction(8615841276005, 14322)
-    with pytest.raises(DomainError):
-        bernoulli(-2)
+    b = even_bernoulli(15)  # B_2, B_4, ..., B_30
+    assert b[0] == Fraction(1, 6)
+    assert b[5] == Fraction(-691, 2730)
+    assert b[14] == Fraction(8615841276005, 14322)
 
 
 def test_bernoulli_matches_the_fraction_recurrence_exactly():
-    # the tangent-number route gives the recurrence's B_0 .. B_60 exactly,
+    # the tangent-number route gives the recurrence's B_2 .. B_60 exactly,
     # so the float tables rounded from them keep every bit
-    assert [bernoulli(n) for n in range(61)] == bernoulli_reference(60)
+    assert even_bernoulli(30) == bernoulli_reference(60)[2::2]
 
 
 def test_bisect_and_newton():

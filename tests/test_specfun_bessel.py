@@ -73,3 +73,18 @@ def test_recurrence_range_exhausted_is_typed():
 def test_deterministic():
     s = 11.0 + 4.0j
     assert bessel_j(4, s) == bessel_j(4, s)
+
+
+def test_bessel_on_the_level_solver_paths_against_mpmath():
+    # the solver's real-axis scan points and its imaginary axis, to the
+    # 1e-11 stated in bessel_j's docstring: relative where |J| >= 1e-3,
+    # absolute below
+    mpmath = pytest.importorskip("mpmath")
+    points = [complex(50.0 * i / 400, 0.0) for i in range(401)]
+    points += [complex(0.0, 40.0 * i / 400) for i in range(401)]
+    for p in range(-3, 4):
+        for s in points:
+            with mpmath.workdps(30):
+                ref = complex(mpmath.besselj(p, mpmath.mpc(s.real, s.imag)))
+            err = abs(bessel_j(p, s) - ref)
+            assert err <= 1e-11 * (abs(ref) if abs(ref) >= 1e-3 else 1.0), (p, s)

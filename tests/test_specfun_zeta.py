@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zetacross.errors import DomainError
-from zetacross.numerics import bernoulli
+from zetacross.numerics import even_bernoulli
 from zetacross.specfun import RS_SWITCHOVER, hardy_z, zeta_mod_sq
 from zetacross.specfun.zeta import (
     _EM_TAIL,
@@ -128,8 +128,8 @@ def test_rs_correction_bit_identical_to_per_order_horner():
 
 def test_em_tail_table_is_correctly_rounded():
     assert len(_EM_TAIL) == 30
-    for k, entry in enumerate(_EM_TAIL, 1):
-        assert entry == float(bernoulli(2 * k) / math.factorial(2 * k))
+    for k, (entry, b) in enumerate(zip(_EM_TAIL, even_bernoulli(30)), 1):
+        assert entry == float(b / math.factorial(2 * k))
     for k, b in enumerate(_B2K, 1):  # literal B_2 .. B_30
         assert _EM_TAIL[k - 1] == float(b / math.factorial(2 * k))
 
@@ -143,8 +143,8 @@ def _hardy_z_em_fraction_path(t):
     n_minus_s = complex(np.exp(-s * math.log(big_n)))
     value = head + n_minus_s * big_n / (s - 1.0) + 0.5 * n_minus_s
     rising, pw, prev = s, n_minus_s / big_n, math.inf
-    for k in range(1, 31):
-        term = float(bernoulli(2 * k) / math.factorial(2 * k)) * rising * pw
+    for k, b in enumerate(even_bernoulli(30), 1):
+        term = float(b / math.factorial(2 * k)) * rising * pw
         mag = abs(term)
         if mag >= prev:
             break
