@@ -142,10 +142,11 @@ def reverse_iterate(seg: Segment, model: LadderModel) -> Segment:
 
         lo, hi = expand_bracket(h, target, max(target * 1.25, target + 1.0))
         root = bisect_root(h, lo, hi)
-        if not abs(model.value(root) - target) <= 1e-10 * max(1.0, abs(target)):
+        resid = abs(model.value(root) - target)
+        if not resid <= 1e-10 * max(1.0, abs(target)):
             raise AccuracyError(
                 f"ladder inversion residual too large at target {target}",
-                achieved=model.value(root),
+                achieved=resid,
             )
         return root
 
@@ -306,7 +307,8 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
     additivity_residual = abs(means[2] - mean2_direct) / max(mean2_direct, 1e-300)
     if not additivity_residual <= 10.0 * QUAD_REL:
         raise AccuracyError(
-            f"middle-term additivity cross-check failed: {additivity_residual:.3e}"
+            f"middle-term additivity cross-check failed: {additivity_residual:.3e}",
+            achieved=additivity_residual,
         )
 
     nodes = sorted(memo)  # before any bisection adds its points
@@ -350,7 +352,8 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
     if not inst.identity_residual <= 1e-8 * inst.max_a:
         raise AccuracyError(
             f"three-term identity residual {inst.identity_residual:.3e} "
-            f"exceeds 1e-8 * {inst.max_a:.3e}"
+            f"exceeds 1e-8 * {inst.max_a:.3e}",
+            achieved=inst.identity_residual,
         )
     return inst
 

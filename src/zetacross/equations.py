@@ -102,13 +102,15 @@ def make_transmutation(tid: str, inst: MotherInstance,
         if not rel <= TERM_EQUALITY_TOL:
             raise AccuracyError(
                 f"transmutation {tid}, term l={l}: |b - a| / a = "
-                f"{rel:.3e} exceeds {TERM_EQUALITY_TOL:.1e} (a = {a_l:.6g})"
+                f"{rel:.3e} exceeds {TERM_EQUALITY_TOL:.1e} (a = {a_l:.6g})",
+                achieved=rel,
             )
         b.append(b_l)
     out = TransmutationInstance(id=tid, b=tuple(b), theta=inst.theta)
     if not out.three_term_residual <= TERM_EQUALITY_TOL:
         raise AccuracyError(
-            f"transmutation {tid}: three-term residual {out.three_term_residual:.3e}"
+            f"transmutation {tid}: three-term residual {out.three_term_residual:.3e}",
+            achieved=out.three_term_residual,
         )
     return out
 

@@ -42,8 +42,9 @@ from .specfun import (
 )
 from .specfun.jacobi import POLE_EXCLUSION, pole_distance
 
-# abscissa of the gamma minimum on (0, inf)
+# abscissa of the gamma minimum on (0, inf), and the 1/|gamma| ridge there
 _GAMMA_MIN_X = 1.4616321449683623
+_RECIP_GAMMA_RIDGE = recip_gamma_abs(complex(_GAMMA_MIN_X, 0.0))
 _JACOBI_KIND_BY_L = {1: "SN", 2: "CN", 3: "DN"}
 
 
@@ -209,8 +210,7 @@ def _solve_power(n: int, v: float) -> complex:
 
 
 def _solve_recip_gamma(v: float) -> complex:
-    v_ridge = recip_gamma_abs(complex(_GAMMA_MIN_X, 0.0))
-    if v <= v_ridge * (1.0 - 1e-12):
+    if v <= _RECIP_GAMMA_RIDGE * (1.0 - 1e-12):
         lo = min(0.5 * v, 0.5)
         fval = lambda x: recip_gamma_abs(complex(x, 0.0))
         while fval(lo) > v and lo > 1e-300:

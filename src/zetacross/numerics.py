@@ -1,6 +1,9 @@
 """Shared numerical kernels: compensated summation, Bernoulli numbers,
 bracketed root finding, and adaptive Gauss-Kronrod quadrature.
 
+Compensated sums are one `neumaier_sum` over a list of terms: a caller
+collects its terms in order and sums them once.
+
 All routines are deterministic: fixed splitting orders, fixed iteration
 caps, no randomness. Identical inputs give bit-identical outputs.
 """
@@ -9,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import AccuracyError, SearchError
 
@@ -18,26 +21,17 @@ from .errors import AccuracyError, SearchError
 # Compensated (Neumaier) summation
 # --------------------------------------------------------------------------
 
-class NeumaierSum:
-    """Running compensated sum; error per add is O(eps^2) relative."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
+def neumaier_sum(values: Iterable[float]) -> float:
+    """Compensated sum of values in order; error O(eps^2) relative per term."""
+    s = c = 0.0
+    for x in values:
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
         else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s + self.c
+            c += (x - t) + s
+        s = t
+    return s + c
 
 
 # --------------------------------------------------------------------------
@@ -132,19 +126,9 @@ def gk15_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, 
     h = 0.5 * (b - a)
     c = 0.5 * (a + b)
     fc = f(c)
-    k = NeumaierSum()
-    g = NeumaierSum()
-    k.add(_WGK[7] * fc)
-    g.add(_WG[3] * fc)
-    for i in range(7):
-        x = h * _XGK[i]
-        fp = f(c + x)
-        fm = f(c - x)
-        k.add(_WGK[i] * (fp + fm))
-        if i % 2 == 1:
-            g.add(_WG[i // 2] * (fp + fm))
-    k15 = k.value * h
-    g7 = g.value * h
+    sym = [f(c + x) + f(c - x) for x in (h * xk for xk in _XGK[:7])]
+    k15 = neumaier_sum([_WGK[7] * fc] + [w * v for w, v in zip(_WGK, sym)]) * h
+    g7 = neumaier_sum([_WG[3] * fc] + [w * v for w, v in zip(_WG, sym[1::2])]) * h
     return k15, abs(k15 - g7)
 
 
@@ -172,7 +156,7 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
     scale = max(scale, 1e-300)
 
     width = b - a
-    total = NeumaierSum()
+    accepted: list[float] = []
     err_total = 0.0
     depth_hit = False
     # Explicit stack, rightmost pushed first so processing is left-to-right.
@@ -182,21 +166,21 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
         v, err = gk15_panel(f, lo, hi)
         tol_local = rel_tol * scale * ((hi - lo) / width)
         if err <= tol_local or hi - lo <= abs(lo) * 1e-15 + 1e-300:
-            total.add(v)
+            accepted.append(v)
             err_total += err
             continue
         if depth >= max_depth:
-            total.add(v)
+            accepted.append(v)
             err_total += err
             depth_hit = True
             continue
         mid = 0.5 * (lo + hi)
         stack.append((mid, hi, depth + 1))
         stack.append((lo, mid, depth + 1))
-    value = total.value
+    value = neumaier_sum(accepted)
     if depth_hit and err_total > rel_tol * max(abs(value), scale):
         raise AccuracyError(
             f"quadrature depth cap reached; error estimate {err_total:.3e}",
-            achieved=value,
+            achieved=err_total,
         )
     return value

@@ -81,8 +81,8 @@ def draw_parameter_set(seed: int, index: int = 0) -> ParameterSet:
     if index < 0:
         raise DomainError(f"draw index must be nonnegative, got {index}")
     gen = SplitMix64(seed)
-    for _ in range(18 * index):
-        gen.next_u64()
+    # skip 18 * index outputs: each one only adds the increment to the state
+    gen.state = (gen.state + 18 * index * 0x9E3779B97F4A7C15) & _MASK64
     n = tuple(gen.next_int(1, 6) for _ in range(6))
     p = tuple(gen.next_int(-3, 3) for _ in range(6))
     k = tuple(math.sqrt(0.05 + 0.90 * gen.next_unit()) for _ in range(6))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from ..errors import AccuracyError, DomainError
-from ..numerics import NeumaierSum
+from ..numerics import neumaier_sum
 from .types import as_complex
 
 _SERIES_RADIUS = 8.0
@@ -25,20 +25,18 @@ def _series(p: int, s: complex) -> complex:
     for j in range(1, p + 1):
         term *= half / j
     ratio = -(half * half)
-    re = NeumaierSum()
-    im = NeumaierSum()
-    re.add(term.real)
-    im.add(term.imag)
+    re = [term.real]
+    im = [term.imag]
     acc_scale = abs(term)
     for m in range(400):
         term *= ratio / ((m + 1.0) * (m + p + 1.0))
-        re.add(term.real)
-        im.add(term.imag)
+        re.append(term.real)
+        im.append(term.imag)
         mag = abs(term)
         acc_scale = max(acc_scale, mag)
         if mag < 1e-19 * acc_scale:
             break
-    return complex(re.value, im.value)
+    return complex(neumaier_sum(re), neumaier_sum(im))
 
 
 def _miller(p: int, s: complex) -> complex:

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from ..numerics import NeumaierSum, even_bernoulli
+from ..numerics import even_bernoulli, neumaier_sum
 from .gammafn import log_gamma_complex
 
 RS_SWITCHOVER = 2000.0
@@ -225,10 +225,8 @@ def hardy_z_rs(t: float) -> float:
     big_n = int(tau)
     p = tau - big_n
     theta = rs_theta(t)
-    acc = NeumaierSum()
-    for n in range(1, big_n + 1):
-        acc.add(math.cos(theta - t * math.log(n)) / math.sqrt(n))
-    main = 2.0 * acc.value
+    main = 2.0 * neumaier_sum([math.cos(theta - t * math.log(n)) / math.sqrt(n)
+                               for n in range(1, big_n + 1)])
     rem = _rs_correction(p, 1.0 / tau) / math.sqrt(tau)
     if big_n % 2 == 0:
         rem = -rem

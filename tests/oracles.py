@@ -5,8 +5,10 @@ Euler-Maclaurin with literal Bernoulli fractions (and the package's
 former Bernoulli recurrence as an exact reference), an asymptotic-series
 rotation angle, direct series for the Bessel zero bracket, plain AGM
 for the elliptic quarter period (and the package's former AGM loop and
-Jacobi path as bit-for-bit references), and random triples for the
-generic elimination identity. Keep them boring.
+Jacobi path as bit-for-bit references), random triples for the generic
+elimination identity, and the package's former running compensated sum
+and sequential splitmix64 skip as bit-for-bit references. Keep them
+boring.
 """
 
 from __future__ import annotations
@@ -39,6 +41,51 @@ def bernoulli_reference(n: int) -> list[Fraction]:
             binom = binom * (m + 1 - j) // (j + 1)
         b.append(-acc / (m + 1))
     return b
+
+
+class NeumaierSum:
+    """Running compensated sum, added to one value at a time:
+    neumaier_sum must give its value bit for bit."""
+
+    __slots__ = ("s", "c")
+
+    def __init__(self) -> None:
+        self.s = 0.0
+        self.c = 0.0
+
+    def add(self, x: float) -> None:
+        t = self.s + x
+        if abs(self.s) >= abs(x):
+            self.c += (self.s - t) + x
+        else:
+            self.c += (x - t) + self.s
+        self.s = t
+
+    @property
+    def value(self) -> float:
+        return self.s + self.c
+
+
+def draw_reference(seed: int, index: int) -> tuple[tuple, tuple, tuple]:
+    """(n, p, k) of the index-th parameter draw by a plain splitmix64
+    that steps through all 18 * index skipped outputs."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+
+    def next_u64() -> int:
+        nonlocal state
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    for _ in range(18 * index):
+        next_u64()
+    n = tuple(1 + next_u64() % 6 for _ in range(6))
+    p = tuple(-3 + next_u64() % 7 for _ in range(6))
+    k = tuple(math.sqrt(0.05 + 0.90 * ((next_u64() >> 11) * 2.0 ** -53)) for _ in range(6))
+    return n, p, k
 
 
 def zeta_half_oracle(t: float, n_terms: int = 1000) -> complex:

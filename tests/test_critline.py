@@ -126,6 +126,15 @@ def test_reverse_iterate_affine_exact():
     assert out.hi == pytest.approx(103.0, abs=1e-10)
 
 
+def test_ladder_inversion_gate_carries_its_residual(monkeypatch):
+    # a root 0.5 past the true preimage leaves |phi1(root) - target| = 0.5
+    bisect = critline.bisect_root
+    monkeypatch.setattr(critline, "bisect_root", lambda f, a, b: bisect(f, a, b) + 0.5)
+    with pytest.raises(AccuracyError, match="ladder inversion") as err:
+        reverse_iterate(Segment(100.0, 101.0), LadderModel("AFFINE", 2.0))
+    assert err.value.achieved == pytest.approx(0.5)
+
+
 def test_reverse_iterate_round_trip_asymptotic():
     m = LadderModel("ASYMPTOTIC")
     seg = base_segment(math.pi / 8, 1000)
@@ -352,6 +361,28 @@ def test_additivity_gate_rejects_nan(monkeypatch):
     entry = run(RunConfig(L_list=(20,)))["payload"]["runs"][0]
     assert entry["certified"] is False
     assert entry["error"].startswith("AccuracyError: middle-term additivity")
+
+
+def test_additivity_gate_carries_its_residual(monkeypatch):
+    # a middle-term quadrature 1e-8 high: the gate (1e-10) fails and
+    # carries |(a1 + a3) - a2| / a2
+    direct = critline.weighted_mean
+
+    def high_middle(l, *args, **kwargs):
+        v = direct(l, *args, **kwargs)
+        return v * (1.0 + 1e-8) if l == 2 else v
+
+    monkeypatch.setattr(critline, "weighted_mean", high_middle)
+    with pytest.raises(AccuracyError, match="additivity") as err:
+        build_mother_instance(math.pi / 8, 20, LadderModel("ASYMPTOTIC"))
+    assert err.value.achieved == pytest.approx(1e-8, rel=1e-3)
+
+
+def test_identity_gate_carries_its_residual(monkeypatch):
+    monkeypatch.setattr(critline.MotherInstance, "identity_residual", property(lambda self: 0.5))
+    with pytest.raises(AccuracyError, match="three-term identity") as err:
+        build_mother_instance(math.pi / 8, 20, LadderModel("ASYMPTOTIC"))
+    assert err.value.achieved == 0.5
 
 
 def test_placement_gate_raises_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Transmutations, crossbreeding, and the ten-equation listing."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from zetacross.critline import LadderModel, build_mother_instance
 from zetacross.equations import (
     CROSSBREED_PAIRS,
+    TERM_EQUALITY_TOL,
     TRANSMUTATION_IDS,
     MetaEquation,
     TransmutationInstance,
@@ -98,6 +100,28 @@ def test_all_transmutations_certified(pipeline):
         assert t.three_term_residual <= 1e-8
         for l in range(3):
             assert abs(t.b[l] - inst.a[l]) <= 1e-8 * inst.a[l]
+
+
+def test_term_equality_gate_carries_its_relative_error(pipeline):
+    # a mean 1e-6 above what the level points give fails term l = 1,
+    # and the error carries |b - a| / a
+    inst, assign = pipeline
+    off = dataclasses.replace(inst, a=(inst.a[0] * (1.0 + 1e-6),) + inst.a[1:])
+    with pytest.raises(AccuracyError, match="term l=1") as err:
+        make_transmutation("T1", off, assign)
+    assert err.value.achieved == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_three_term_gate_carries_its_residual(pipeline):
+    # every b_l still equals its a_l, but theta 1e-6 off breaks
+    # b1 - theta b2 + b3 = 0
+    inst, assign = pipeline
+    off = dataclasses.replace(inst, theta=inst.theta * (1.0 + 1e-6))
+    with pytest.raises(AccuracyError, match="three-term residual") as err:
+        make_transmutation("T1", off, assign)
+    t = make_transmutation("T1", inst, assign)
+    expected = TransmutationInstance(id="T1", b=t.b, theta=off.theta).three_term_residual
+    assert err.value.achieved == expected > TERM_EQUALITY_TOL
 
 
 def test_bessel_transmutation_with_drawn_orders(pipeline):

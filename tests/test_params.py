@@ -10,6 +10,8 @@ from zetacross.params import (
     draw_parameter_set,
 )
 
+from oracles import draw_reference
+
 # published reference outputs of splitmix64 for seed 0
 SEED0_OUTPUTS = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 
@@ -62,3 +64,12 @@ def test_draw_indexing_matches_stream_skip():
         gen.next_u64()
     n = tuple(gen.next_int(1, 6) for _ in range(6))
     assert draw_parameter_set(7, 1).n == n
+
+
+def test_draws_jump_to_the_sequential_skip_stream():
+    # the state jump over 18 * index outputs gives the stream of
+    # stepping through them, bit for bit
+    for seed in (0, 20240809, -7):
+        for index in range(65):
+            ps = draw_parameter_set(seed, index)
+            assert (ps.n, ps.p, ps.k) == draw_reference(seed, index)
