@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import AccuracyError, ConfigError, DegeneracyError, DomainError
+from .errors import AccuracyError, ConfigError, DegeneracyError, DomainError, gate
 from .numerics import adaptive_quadrature, bisect_root, expand_bracket
 from .specfun import hardy_z
 
@@ -143,11 +143,8 @@ def reverse_iterate(seg: Segment, model: LadderModel) -> Segment:
         lo, hi = expand_bracket(h, target, max(target * 1.25, target + 1.0))
         root = bisect_root(h, lo, hi)
         resid = abs(model.value(root) - target)
-        if not resid <= 1e-10 * max(1.0, abs(target)):
-            raise AccuracyError(
-                f"ladder inversion residual too large at target {target}",
-                achieved=resid,
-            )
+        gate(resid, 1e-10 * max(1.0, abs(target)), "mother",
+             lambda: f"ladder inversion residual too large at target {target}")
         return root
 
     lifted = Segment(solve(seg.lo), solve(seg.hi))
@@ -212,11 +209,8 @@ def mean_value_abscissa(l: int, nodes: Sequence[float], model: LadderModel,
     g = weighted_integrand(l, model, z_sq)
     alpha1 = _mean_crossing(g, nodes, mean)
     resid = abs(g(alpha1) - mean) / max(abs(mean), 1e-300)
-    if not resid <= 1e-10:
-        raise AccuracyError(
-            f"mean-value residual {resid:.3e} too large for weight {l}",
-            achieved=resid,
-        )
+    gate(resid, 1e-10, "mother",
+         lambda: f"mean-value residual {resid:.3e} too large for weight {l}")
     return alpha1, resid
 
 
@@ -305,11 +299,8 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
     means[2] = means[1] + means[3]
     mean2_direct = weighted_mean(2, lifted, model, z_sq=z_sq)
     additivity_residual = abs(means[2] - mean2_direct) / max(mean2_direct, 1e-300)
-    if not additivity_residual <= 10.0 * QUAD_REL:
-        raise AccuracyError(
-            f"middle-term additivity cross-check failed: {additivity_residual:.3e}",
-            achieved=additivity_residual,
-        )
+    gate(additivity_residual, 10.0 * QUAD_REL, "mother",
+         lambda: f"middle-term additivity cross-check failed: {additivity_residual:.3e}")
 
     nodes = sorted(memo)  # before any bisection adds its points
     alpha1 = []
@@ -349,12 +340,9 @@ def build_mother_instance(U: float, L: int, model: LadderModel,
         placement_residual=tuple(placement),
         additivity_residual=additivity_residual,
     )
-    if not inst.identity_residual <= 1e-8 * inst.max_a:
-        raise AccuracyError(
-            f"three-term identity residual {inst.identity_residual:.3e} "
-            f"exceeds 1e-8 * {inst.max_a:.3e}",
-            achieved=inst.identity_residual,
-        )
+    gate(inst.identity_residual, 1e-8 * inst.max_a, "mother", lambda: (
+        f"three-term identity residual {inst.identity_residual:.3e} "
+        f"exceeds 1e-8 * {inst.max_a:.3e}"))
     return inst
 
 

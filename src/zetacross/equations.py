@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .critline import MotherInstance
-from .errors import AccuracyError, ContractError, DomainError
+from .errors import ContractError, DomainError, gate
 from .levelset import LevelAssignment
 
 TRANSMUTATION_IDS = ("T1", "T2", "T3", "T4", "T5")
@@ -99,19 +99,13 @@ def make_transmutation(tid: str, inst: MotherInstance,
             b_l = (w1 * w1) * (w2 * w2)
         a_l = inst.a[l - 1]
         rel = abs(b_l - a_l) / a_l
-        if not rel <= TERM_EQUALITY_TOL:
-            raise AccuracyError(
-                f"transmutation {tid}, term l={l}: |b - a| / a = "
-                f"{rel:.3e} exceeds {TERM_EQUALITY_TOL:.1e} (a = {a_l:.6g})",
-                achieved=rel,
-            )
+        gate(rel, TERM_EQUALITY_TOL, "transmutation", lambda: (
+            f"transmutation {tid}, term l={l}: |b - a| / a = "
+            f"{rel:.3e} exceeds {TERM_EQUALITY_TOL:.1e} (a = {a_l:.6g})"))
         b.append(b_l)
     out = TransmutationInstance(id=tid, b=tuple(b), theta=inst.theta)
-    if not out.three_term_residual <= TERM_EQUALITY_TOL:
-        raise AccuracyError(
-            f"transmutation {tid}: three-term residual {out.three_term_residual:.3e}",
-            achieved=out.three_term_residual,
-        )
+    gate(out.three_term_residual, TERM_EQUALITY_TOL, "transmutation",
+         lambda: f"transmutation {tid}: three-term residual {out.three_term_residual:.3e}")
     return out
 
 
@@ -125,17 +119,23 @@ def crossbreed(a: TransmutationInstance, b: TransmutationInstance) -> MetaEquati
     lhs = (a.b[0] + a.b[2]) * b.b[1]
     rhs = (b.b[0] + b.b[2]) * a.b[1]
     residual = abs(lhs - rhs) / max(lhs, rhs)
-    if not residual <= TERM_EQUALITY_TOL:
-        raise AccuracyError(f"crossbreed {a.id}x{b.id}: residual {residual:.3e} "
-                            f"exceeds {TERM_EQUALITY_TOL:.1e}", achieved=residual)
+    gate(residual, TERM_EQUALITY_TOL, "crossbreed", lambda: (
+        f"crossbreed {a.id}x{b.id}: residual {residual:.3e} "
+        f"exceeds {TERM_EQUALITY_TOL:.1e}"))
     pair = _LISTED_PAIR.get((a.id, b.id), (a.id, b.id))
     return MetaEquation(pair=pair, lhs=lhs, rhs=rhs, residual=residual)
+
+
+def certify_window(inst: MotherInstance, assign: LevelAssignment
+                   ) -> tuple[dict[str, TransmutationInstance], list[MetaEquation]]:
+    """The window's five certified transmutations, keyed by id in listing
+    order, and the ten certified crossbreeds of them, in listing order.
+    This is the one place where both are built."""
+    trans = {tid: make_transmutation(tid, inst, assign) for tid in TRANSMUTATION_IDS}
+    return trans, [crossbreed(trans[x], trans[y]) for (x, y) in CROSSBREED_PAIRS]
 
 
 def second_generation(inst: MotherInstance,
                       assign: LevelAssignment) -> list[MetaEquation]:
     """All ten certified crossbreeds of the five transmutations, in listing order."""
-    instances = {
-        tid: make_transmutation(tid, inst, assign) for tid in TRANSMUTATION_IDS
-    }
-    return [crossbreed(instances[x], instances[y]) for (x, y) in CROSSBREED_PAIRS]
+    return certify_window(inst, assign)[1]

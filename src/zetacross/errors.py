@@ -6,6 +6,8 @@ callers (harness, CLI) can distinguish certification failures from bugs.
 
 from __future__ import annotations
 
+from typing import Callable
+
 
 class ZetacrossError(Exception):
     """Base class for all package errors."""
@@ -27,11 +29,27 @@ class PoleError(DomainError):
 
 
 class AccuracyError(ZetacrossError):
-    """A tolerance could not be met; carries the achieved estimate."""
+    """A tolerance could not be met. A gate's error carries the achieved
+    value, the bound it had to meet, its stage ("mother", "level",
+    "transmutation", "crossbreed" or "quadrature") and, for a level
+    point, its slot (n, l)."""
 
-    def __init__(self, message: str, achieved: float | None = None):
+    def __init__(self, message: str, achieved: float | None = None,
+                 bound: float | None = None, stage: str | None = None,
+                 slot: tuple[int, int] | None = None):
         super().__init__(message)
         self.achieved = achieved
+        self.bound = bound
+        self.stage = stage
+        self.slot = slot
+
+
+def gate(achieved: float, bound: float, stage: str, message: Callable[[], str],
+         slot: tuple[int, int] | None = None) -> None:
+    """Raise AccuracyError unless achieved <= bound, so NaN in either fails.
+    message is called for the error's text on failure only."""
+    if not achieved <= bound:
+        raise AccuracyError(message(), achieved, bound, stage, slot)
 
 
 class SearchError(ZetacrossError):

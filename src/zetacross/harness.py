@@ -25,15 +25,8 @@ from .critline import (
     U_MAX,
     build_mother_instance,
 )
-from .equations import (
-    CROSSBREED_PAIRS,
-    TERM_EQUALITY_TOL,
-    TRANSMUTATION_IDS,
-    MetaEquation,
-    TransmutationInstance,
-    crossbreed,
-    make_transmutation,
-)
+from .equations import (TERM_EQUALITY_TOL, MetaEquation, TransmutationInstance,
+                        certify_window)
 from .errors import ConfigError, DomainError, ZetacrossError
 from .levelset import (ALL_SLOTS, RESIDUAL_TOL, LevelAssignment, LevelPoint,
                        build_level_assignments, level_point, spec_for_slot,
@@ -173,18 +166,12 @@ def _level_payload(assign: LevelAssignment) -> list[dict]:
 
 def _transmutation_payload(inst: MotherInstance,
                            trans: dict[str, TransmutationInstance]) -> list[dict]:
-    out = []
-    for tid in TRANSMUTATION_IDS:
-        t = trans[tid]
-        out.append({
-            "id": tid,
-            "b": list(t.b),
-            "term_residuals": [
-                abs(t.b[i] - inst.a[i]) / inst.a[i] for i in range(3)
-            ],
-            "three_term_residual": t.three_term_residual,
-        })
-    return out
+    return [
+        {"id": tid, "b": list(t.b),
+         "term_residuals": [abs(t.b[i] - inst.a[i]) / inst.a[i] for i in range(3)],
+         "three_term_residual": t.three_term_residual}
+        for tid, t in trans.items()
+    ]
 
 
 def _equation_payload(eqs: list[MetaEquation]) -> list[dict]:
@@ -204,21 +191,20 @@ def run(config: RunConfig) -> dict:
     equality and three-term identity and each of the ten crossbred
     equations within TERM_EQUALITY_TOL. A window is certified exactly
     when it raises none of them; a raised error is recorded in its entry
-    and the run continues with the next L.
+    and the run continues with the next L. The header's failures record,
+    keyed by L, holds each raised error's type and, from a gate, its
+    stage, slot, achieved value and bound.
     """
     runs = []
     timings = {}
+    failures = {}
     for L in config.L_list:
         t0 = time.perf_counter()
         entry: dict = {"U": config.U, "L": L}
         try:
             inst = build_mother_instance(config.U, L, config.ladder)
             assign = build_level_assignments(inst, config.params)
-            trans = {
-                tid: make_transmutation(tid, inst, assign)
-                for tid in TRANSMUTATION_IDS
-            }
-            eqs = [crossbreed(trans[x], trans[y]) for (x, y) in CROSSBREED_PAIRS]
+            trans, eqs = certify_window(inst, assign)
             entry["mother"] = _mother_payload(inst)
             entry["level_points"] = _level_payload(assign)
             entry["transmutations"] = _transmutation_payload(inst, trans)
@@ -227,6 +213,8 @@ def run(config: RunConfig) -> dict:
         except ZetacrossError as err:
             entry["certified"] = False
             entry["error"] = f"{type(err).__name__}: {err}"
+            failures[str(L)] = {"type": type(err).__name__, **{
+                k: getattr(err, k, None) for k in ("stage", "slot", "achieved", "bound")}}
         runs.append(entry)
         timings[str(L)] = time.perf_counter() - t0
 
@@ -252,6 +240,7 @@ def run(config: RunConfig) -> dict:
             "tool": f"zetacross {__version__}",
             "created_unix": time.time(),
             "timing_seconds": timings,
+            "failures": failures,
         },
         "payload": payload,
     }

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .critline import MotherInstance, gen1_target
-from .errors import AccuracyError, DomainError, SearchError
+from .errors import AccuracyError, DomainError, SearchError, gate
 from .numerics import bisect_root
 from .params import ParameterSet
 from .specfun import (
@@ -155,12 +155,9 @@ RESIDUAL_TOL = 1e-10
 def _certify(spec: LevelCurveSpec, s: complex) -> LevelPoint:
     point = LevelPoint(spec=spec, s=ComplexPoint.from_complex(s),
                        modulus=spec.family.abs_value(s))
-    if not point.residual <= RESIDUAL_TOL * max(1.0, spec.target):
-        raise AccuracyError(
-            f"level residual {point.residual:.3e} exceeds tolerance for "
-            f"{spec.family.describe()} target {spec.target:.6g}",
-            achieved=point.residual,
-        )
+    gate(point.residual, RESIDUAL_TOL * max(1.0, spec.target), "level", lambda: (
+        f"level residual {point.residual:.3e} exceeds tolerance for "
+        f"{spec.family.describe()} target {spec.target:.6g}"), slot=spec.slot)
     return point
 
 
@@ -462,7 +459,7 @@ class LevelAssignment:
 
 def build_level_assignments(inst: MotherInstance, params: ParameterSet) -> LevelAssignment:
     """Solve all thirty loci for one instance; errors keep their type and
-    carry their slot, an AccuracyError its achieved value too. Specs and
+    carry their slot in the text, an AccuracyError its gate's fields too. Specs and
     points share the ALL_SLOTS tuples as their slot keys."""
     points: dict[tuple[int, int], LevelPoint] = {}
     for slot in ALL_SLOTS:

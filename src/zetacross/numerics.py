@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .errors import AccuracyError, SearchError
+from .errors import SearchError, gate
 
 
 # --------------------------------------------------------------------------
@@ -139,8 +139,8 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
     The error target is apportioned to panels by width. The total is
     accumulated with compensated summation in interval order, so the
     result is additive over adjacent ranges to within ~2*rel_tol.
-    Raises AccuracyError (carrying the achieved estimate) if the depth
-    cap is hit on some panel.
+    Once the depth cap is hit on some panel, raises AccuracyError unless
+    the error estimate is <= rel_tol max(|value|, scale); NaN fails.
     """
     if b == a:
         return 0.0
@@ -178,9 +178,7 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
         stack.append((mid, hi, depth + 1))
         stack.append((lo, mid, depth + 1))
     value = neumaier_sum(accepted)
-    if depth_hit and err_total > rel_tol * max(abs(value), scale):
-        raise AccuracyError(
-            f"quadrature depth cap reached; error estimate {err_total:.3e}",
-            achieved=err_total,
-        )
+    if depth_hit:
+        gate(err_total, rel_tol * max(abs(value), scale), "quadrature",
+             lambda: f"quadrature depth cap reached; error estimate {err_total:.3e}")
     return value

@@ -29,6 +29,9 @@ from ..numerics import even_bernoulli, neumaier_sum
 from .gammafn import log_gamma_complex
 
 RS_SWITCHOVER = 2000.0
+# just below t = 2.864e14, where one ulp of the Riemann-Siegel phase t log N
+# reaches 1 rad, so no bit of it is correct: a float limit, not a validated domain
+Z_T_MAX = 2.86e14
 
 _TWO_PI = 2.0 * math.pi
 _LOG_PI = math.log(math.pi)
@@ -241,9 +244,10 @@ def hardy_z_em(t: float) -> float:
 
 
 def hardy_z(t: float) -> float:
-    """Hardy's Z(t); real-valued with |Z(t)| = |zeta(1/2 + it)|."""
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"hardy_z needs t >= 0, got {t}")
+    """Hardy's Z(t); real-valued with |Z(t)| = |zeta(1/2 + it)|.
+    Raises DomainError unless 0 <= t < Z_T_MAX."""
+    if not 0.0 <= t < Z_T_MAX:
+        raise DomainError(f"hardy_z needs 0 <= t < {Z_T_MAX:.3g}, got {t}")
     if t < RS_SWITCHOVER:
         return hardy_z_em(t)
     return hardy_z_rs(t)

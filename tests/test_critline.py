@@ -133,6 +133,7 @@ def test_ladder_inversion_gate_carries_its_residual(monkeypatch):
     with pytest.raises(AccuracyError, match="ladder inversion") as err:
         reverse_iterate(Segment(100.0, 101.0), LadderModel("AFFINE", 2.0))
     assert err.value.achieved == pytest.approx(0.5)
+    assert (err.value.bound, err.value.stage, err.value.slot) == (1e-10 * 100.0, "mother", None)
 
 
 def test_reverse_iterate_round_trip_asymptotic():
@@ -356,8 +357,10 @@ def test_additivity_gate_rejects_nan(monkeypatch):
         return math.nan if l == 2 else direct(l, *args, **kwargs)
 
     monkeypatch.setattr(critline, "weighted_mean", nan_for_middle)
-    with pytest.raises(AccuracyError, match="additivity"):
+    with pytest.raises(AccuracyError, match="additivity") as err:
         build_mother_instance(math.pi / 8, 20, LadderModel("ASYMPTOTIC"))
+    assert math.isnan(err.value.achieved)
+    assert (err.value.bound, err.value.stage) == (10.0 * QUAD_REL, "mother")
     entry = run(RunConfig(L_list=(20,)))["payload"]["runs"][0]
     assert entry["certified"] is False
     assert entry["error"].startswith("AccuracyError: middle-term additivity")
@@ -376,13 +379,16 @@ def test_additivity_gate_carries_its_residual(monkeypatch):
     with pytest.raises(AccuracyError, match="additivity") as err:
         build_mother_instance(math.pi / 8, 20, LadderModel("ASYMPTOTIC"))
     assert err.value.achieved == pytest.approx(1e-8, rel=1e-3)
+    assert (err.value.bound, err.value.stage) == (10.0 * QUAD_REL, "mother")
 
 
 def test_identity_gate_carries_its_residual(monkeypatch):
+    max_a = build_mother_instance(math.pi / 8, 20, LadderModel("ASYMPTOTIC")).max_a
     monkeypatch.setattr(critline.MotherInstance, "identity_residual", property(lambda self: 0.5))
     with pytest.raises(AccuracyError, match="three-term identity") as err:
         build_mother_instance(math.pi / 8, 20, LadderModel("ASYMPTOTIC"))
     assert err.value.achieved == 0.5
+    assert (err.value.bound, err.value.stage) == (1e-8 * max_a, "mother")
 
 
 def test_placement_gate_raises_once(monkeypatch):
@@ -397,6 +403,18 @@ def test_placement_gate_raises_once(monkeypatch):
     with pytest.raises(AccuracyError, match="mean-value residual"):
         build_mother_instance(math.pi / 8, 20, LadderModel("ASYMPTOTIC"))
     assert len(calls) == 1
+
+
+def test_placement_gate_carries_its_residual():
+    # Z^2 jumps from 1 to 4 at t = 1.1, across the mean 2 of G_1 = Z^2 sin^2:
+    # the bisection closes on the jump, where |G - mean| / mean stays large
+    def z_sq(t):
+        return 1.0 if t < 1.1 else 4.0
+
+    with pytest.raises(AccuracyError, match="mean-value residual .* weight 1") as err:
+        mean_value_abscissa(1, [1.0, 1.2, 1.4], LadderModel("AFFINE", 0.0), 2.0, z_sq=z_sq)
+    assert err.value.achieved > 0.1
+    assert (err.value.bound, err.value.stage, err.value.slot) == (1e-10, "mother", None)
 
 
 def test_means_against_mpmath_quadrature():

@@ -57,6 +57,7 @@ def test_crossbreed_gates_its_residual():
     with pytest.raises(AccuracyError, match=r"crossbreed T1xT2: residual 2\.000e-01") as err:
         crossbreed(a, b)
     assert err.value.achieved == pytest.approx(0.2)
+    assert (err.value.bound, err.value.stage, err.value.slot) == (1e-8, "crossbreed", None)
 
 
 def test_crossbreed_theta_mismatch_rejected():
@@ -110,6 +111,7 @@ def test_term_equality_gate_carries_its_relative_error(pipeline):
     with pytest.raises(AccuracyError, match="term l=1") as err:
         make_transmutation("T1", off, assign)
     assert err.value.achieved == pytest.approx(1e-6, rel=1e-3)
+    assert (err.value.bound, err.value.stage) == (TERM_EQUALITY_TOL, "transmutation")
 
 
 def test_three_term_gate_carries_its_residual(pipeline):
@@ -122,6 +124,7 @@ def test_three_term_gate_carries_its_residual(pipeline):
     t = make_transmutation("T1", inst, assign)
     expected = TransmutationInstance(id="T1", b=t.b, theta=off.theta).three_term_residual
     assert err.value.achieved == expected > TERM_EQUALITY_TOL
+    assert (err.value.bound, err.value.stage) == (TERM_EQUALITY_TOL, "transmutation")
 
 
 def test_bessel_transmutation_with_drawn_orders(pipeline):

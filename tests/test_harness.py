@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetacross import cli, equations, harness
+from zetacross import cli, equations
 from zetacross.cli import main as cli_main
 from zetacross.critline import LadderModel, build_mother_instance
 from zetacross.errors import ConfigError
@@ -21,6 +22,7 @@ from zetacross.harness import (
     run,
     write_report,
 )
+from zetacross.levelset import LevelFamily
 from zetacross.params import ParameterSet
 
 
@@ -220,7 +222,6 @@ def test_run_builds_each_transmutation_once(monkeypatch):
         return real(tid, *args, **kwargs)
 
     monkeypatch.setattr(equations, "make_transmutation", counting)
-    monkeypatch.setattr(harness, "make_transmutation", counting)
     report = run(RunConfig(L_list=(20,)))
     assert report["payload"]["certified"] is True
     assert calls == list(equations.TRANSMUTATION_IDS)
@@ -228,8 +229,9 @@ def test_run_builds_each_transmutation_once(monkeypatch):
 
 def test_a_failed_crossbreed_is_its_window_error(monkeypatch):
     # a window is certified exactly when no gate raised: a crossbred
-    # equation 1e-6 off fails where it is made and names its pair
-    made = harness.make_transmutation
+    # equation 1e-6 off fails where it is made and names its pair; the
+    # header's failures record carries the gate's fields
+    made = equations.make_transmutation
 
     def skewed(tid, inst, assign):
         t = made(tid, inst, assign)
@@ -237,12 +239,45 @@ def test_a_failed_crossbreed_is_its_window_error(monkeypatch):
             return t
         return dataclasses.replace(t, b=(t.b[0], t.b[1], t.b[2] * (1.0 + 1e-6)))
 
-    monkeypatch.setattr(harness, "make_transmutation", skewed)
-    payload = run(RunConfig(L_list=(20,)))["payload"]
+    monkeypatch.setattr(equations, "make_transmutation", skewed)
+    report = run(RunConfig(L_list=(20,)))
+    payload = report["payload"]
     entry = payload["runs"][0]
     assert payload["certified"] is False
     assert entry["certified"] is False
-    assert entry["error"].startswith("AccuracyError: crossbreed T1xT2: residual ")
+    assert entry["error"] == "AccuracyError: crossbreed T1xT2: residual 9.238e-07 exceeds 1.0e-08"
+    failure = report["header"]["failures"]["20"]
+    assert failure == {"type": "AccuracyError", "stage": "crossbreed", "slot": None,
+                       "achieved": pytest.approx(9.238e-7, rel=1e-4), "bound": 1e-8}
+
+
+def test_a_failed_level_point_names_its_slot_in_the_header(monkeypatch):
+    # every modulus 1e-6 high fails the first slot's level gate; the
+    # error text is unchanged, and the header names stage, slot and bound
+    real = LevelFamily.abs_value
+    monkeypatch.setattr(LevelFamily, "abs_value", lambda self, s: real(self, s) * (1.0 + 1e-6))
+    report = run(RunConfig(L_list=(20,)))
+    entry = report["payload"]["runs"][0]
+    assert entry["error"] == ("AccuracyError: slot (n=3, l=1): level residual 2.446e-07 "
+                              "exceeds tolerance for cosine target 0.244627")
+    assert report["header"]["failures"]["20"] == {
+        "type": "AccuracyError", "stage": "level", "slot": (3, 1),
+        "achieved": pytest.approx(2.446e-7, rel=1e-3), "bound": 1e-10}
+    json.dumps(report)  # the record serializes with the rest of the header
+
+
+def test_payload_sha256_pinned():
+    # byte-identity of the default and the mixed EM/RS payloads; a change
+    # that moves either updates its pin and says why in CHANGES.md
+    pins = {
+        (20, 100, 500): "9058ba2a14d2330869ed9b73e03f6e9e80a8db17a886dda7e377519df454099b",
+        (20, 100, 500, 700, 2600):
+            "0b477eee54ab2524b52e04bda433ace9941c74feec771b9fdea688343550a65f",
+    }
+    for L_list, digest in pins.items():
+        report = run(RunConfig(L_list=L_list))
+        assert hashlib.sha256(payload_bytes(report)).hexdigest() == digest
+        assert report["header"]["failures"] == {}
 
 
 def test_report_json_serializable(small_report, tmp_path):

@@ -203,9 +203,14 @@ def test_assignment_error_keeps_the_gate_type(monkeypatch):
     with pytest.raises(AccuracyError, match=r"slot \(n=3, l=1\)") as err:
         build_level_assignments(inst, DEFAULT_PARAMS)
     assert math.isnan(err.value.achieved)
+    target = gen1_target(1, inst.alpha0[0])
+    assert (err.value.stage, err.value.slot) == ("level", (3, 1))
+    assert err.value.bound == 1e-10 * max(1.0, target)
 
 
 def test_level_residual_gate_rejects_nan(monkeypatch):
     monkeypatch.setattr(LevelFamily, "abs_value", lambda self, s: math.nan)
-    with pytest.raises(AccuracyError):
+    with pytest.raises(AccuracyError) as err:
         level_point(_spec(LevelFamily.power(2), 4.0))
+    assert math.isnan(err.value.achieved)
+    assert (err.value.bound, err.value.stage, err.value.slot) == (4e-10, "level", (9, 1))

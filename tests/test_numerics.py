@@ -111,3 +111,18 @@ def test_adaptive_quadrature_depth_cap():
         adaptive_quadrature(f, 0.0, 1.0, 1e-13, max_depth=2)
     # the achieved value is the error estimate the message reports
     assert f"error estimate {exc.value.achieved:.3e}" in str(exc.value)
+    assert exc.value.stage == "quadrature"
+    assert exc.value.achieved > exc.value.bound > 0.0
+
+
+def test_adaptive_quadrature_depth_cap_rejects_nan():
+    # sqrt makes the panels at 0 split to the depth cap; NaN below 1e-16
+    # is seen only by those at depth 46 and deeper, so the capped panel
+    # carries a NaN value: the mean must fail the gate, not return NaN
+    def f(x):
+        return math.nan if x < 1e-16 else math.sqrt(x)
+
+    with pytest.raises(AccuracyError, match="depth cap") as exc:
+        adaptive_quadrature(f, 0.0, 1.0, 1e-11)
+    assert math.isnan(exc.value.achieved)
+    assert exc.value.stage == "quadrature"

@@ -1,6 +1,7 @@
 """Critical-line evaluator against the fixed-term Euler-Maclaurin oracle."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from zetacross.specfun.zeta import (
     _rs_correction,
     hardy_z_em,
     hardy_z_rs,
+    Z_T_MAX,
     rs_theta,
 )
 
@@ -175,6 +177,48 @@ def test_negative_t_rejected():
         hardy_z(-1.0)
     with pytest.raises(DomainError):
         hardy_z(float("nan"))
+
+
+def test_heights_past_the_phase_limit_rejected_at_once():
+    # past Z_T_MAX one ulp of the phase t log N is 1 rad; 1e308 raised
+    # ValueError and 1e300 ran a sum of ~4e149 terms before the guard
+    assert Z_T_MAX * math.log(math.sqrt(Z_T_MAX / (2.0 * math.pi))) < 2.0 ** 52
+    for t in (1e308, 1e300, 2.87e14, Z_T_MAX, math.inf):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="hardy_z needs 0 <= t < 2.86e"):
+            hardy_z(t)
+        assert time.perf_counter() - start < 1.0
+
+
+# pinned float.hex of Z at the middle of each certbench verify-em and
+# verify-rs panel window (t = pi L + U/2), Euler-Maclaurin and Riemann-Siegel
+_Z_AT_BENCHMARK_HEIGHTS = (
+    (232.67420590649405, '-0x1.492881dbbf43bp+0'),
+    (40.944645094762656, '0x1.3b9ae267c8eb5p-5'),
+    (408.4185766220144, '0x1.efd9c0a1e09b8p+0'),
+    (72.55274486358331, '-0x1.7da0ecaf66bfcp+0'),
+    (713.345237253147, '0x1.94e1f158df417p+0'),
+    (128.91659474269153, '-0x1.8d59fea4c58fbp+0'),
+    (1250.3727631314937, '0x1.087dbb358ab54p+1'),
+    (223.3565475833081, '-0x1.fc303f5484a60p+0'),
+    (41.05176473234606, '0x1.8eabe1663ac5bp-3'),
+    (389.67614033805904, '0x1.5c22b7d1fcef6p+2'),
+    (8312.850510939441, '0x1.10fdc6ba36a74p+0'),
+    (2648.4665475742913, '-0x1.c9b76f9266371p-1'),
+    (12051.160950825788, '0x1.bd6bfaf42596ep+0'),
+    (3839.322336517745, '0x1.502f7f023d69fp-2'),
+    (17470.6004515011, '0x1.262922005106ep+0'),
+    (5567.013478106624, '-0x1.7cdf25f0da700p-1'),
+    (25330.680452897257, '-0x1.10d090d66a2b7p+1'),
+    (8071.054996250611, '0x1.922587df64fd2p-3'),
+    (2570.0338508721297, '-0x1.22a42fb6d952cp-2'),
+    (11699.409693261316, '0x1.0291bc38dc3d1p+0'),
+)
+
+
+def test_z_bit_identical_at_benchmark_heights():
+    for t, z in _Z_AT_BENCHMARK_HEIGHTS:
+        assert hardy_z(t).hex() == z
 
 
 def test_deterministic():
