@@ -28,7 +28,7 @@ from .critline import (
 from .equations import (TERM_EQUALITY_TOL, MetaEquation, TransmutationInstance,
                         certify_window)
 from .errors import ConfigError, DomainError, ZetacrossError
-from .levelset import (ALL_SLOTS, RESIDUAL_TOL, LevelAssignment, LevelPoint,
+from .levelset import (ALL_SLOTS, RESIDUAL_TOL, LevelAssignment, LevelPoint, Power,
                        build_level_assignments, level_point, spec_for_slot,
                        trace_level_arc)
 from .params import DEFAULT_PARAMS, ParameterSet
@@ -288,7 +288,7 @@ def emit_atlas(config: RunConfig, slots: list[tuple[int, int]], out_dir: str | P
         except ZetacrossError as err:
             warnings.append(f"slot ({n},{l}) skipped: {err}")
             continue
-        if spec.family.kind == "POWER":
+        if isinstance(spec.family, Power):
             radius = spec.target ** (1.0 / spec.family.n)
             points = []
             for i in range(256):

@@ -1,18 +1,18 @@
 """Level-curve solving: given a function family and a positive target v,
 produce a complex point s with |F(s)| = v, certified by re-evaluation.
 
-Each family's entry in _FAMILIES carries canonical one-dimensional search
-paths that jointly cover every reachable target:
+Each family class's solve walks canonical one-dimensional search paths
+that jointly cover every reachable target:
 
-  cosine       real axis (v <= 1), then the imaginary axis where
+  Cosine       real axis (v <= 1), then the imaginary axis where
                |cos iy| = cosh y grows without bound;
-  powers       closed form s = v^(1/n) on the positive real axis;
-  1/gamma      the real interval (0, x*] up to the gamma minimum, then
+  Power(n)     closed form s = v^(1/n) on the positive real axis;
+  RecipGamma   the real interval (0, x*] up to the gamma minimum, then
                the vertical line 1/2 + iy where |gamma|^2 = pi/cosh(pi y);
-  bessel       the real axis (oscillatory, dense in [0, max]; scanned on
+  Bessel(p)    the real axis (oscillatory, dense in [0, max]; scanned on
                the signed J_p), then the imaginary axis where |J_p(iy)|
                grows like I_p;
-  jacobi       the real quarter period, the vertical segment from K
+  Jacobi       the real quarter period, the vertical segment from K
                (sn climbs to 1/k, dn falls to 0), then the imaginary
                axis toward the shared pole at i K'.
 
@@ -48,63 +48,17 @@ _RECIP_GAMMA_RIDGE = recip_gamma_abs(complex(_GAMMA_MIN_X, 0.0))
 _JACOBI_KIND_BY_L = {1: "SN", 2: "CN", 3: "DN"}
 
 
-@dataclass(frozen=True, slots=True)
 class LevelFamily:
-    """One of the five function families whose moduli are constrained."""
+    """One of the five function families whose moduli are constrained.
+    Each subclass holds its own parameters and defines abs_value(s) = |F(s)|,
+    solve(v), a point on its canonical paths with |F| = v, and describe(),
+    its label in reports and gate messages."""
 
-    kind: str
-    n: int | None = None
-    p: int | None = None
-    jacobi_kind: str | None = None
-    modulus: EllipticModulus | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _FAMILIES:
-            raise DomainError(f"unknown family kind {self.kind!r}")
-        if self.kind == "POWER" and (self.n is None or self.n < 1):
-            raise DomainError(f"power family needs n >= 1, got {self.n}")
-        if self.kind == "BESSEL" and not isinstance(self.p, int):
-            raise DomainError(f"bessel family needs an integer order, got {self.p!r}")
-        jacobi_ok = self.jacobi_kind in ("SN", "CN", "DN") and self.modulus is not None
-        if self.kind == "JACOBI" and not jacobi_ok:
-            raise DomainError("jacobi family needs a kind and a modulus")
-
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def cosine(cls) -> "LevelFamily":
-        return _COSINE
-
-    @classmethod
-    def power(cls, n: int) -> "LevelFamily":
-        return cls("POWER", n=n)
-
-    @classmethod
-    def recip_gamma(cls) -> "LevelFamily":
-        return _RECIP_GAMMA
-
-    @classmethod
-    def bessel(cls, p: int) -> "LevelFamily":
-        return cls("BESSEL", p=p)
-
-    @classmethod
-    def jacobi(cls, kind: str, k: float | EllipticModulus) -> "LevelFamily":
-        if not isinstance(k, EllipticModulus):
-            k = EllipticModulus(k)
-        return cls("JACOBI", jacobi_kind=kind, modulus=k)
-
-    # -- evaluation: read from the family's definition in _FAMILIES -------
-    @property
-    def _def(self) -> "_FamilyDef":
-        return _FAMILIES[self.kind]
-
-    def abs_value(self, s: complex) -> float:
-        return self._def.abs_value(self, s)
-
-    def reject_near_pole(self, s: complex) -> bool:
-        return self._def.near_pole(self, s)
-
-    def describe(self) -> str:
-        return self._def.describe(self)
+    def near_pole(self, s: complex) -> bool:
+        """Whether s lies in a pole's exclusion zone; no pole by default."""
+        return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,17 +73,14 @@ class LevelCurveSpec:
         if not (math.isfinite(self.target) and self.target > 0.0):
             raise DomainError(f"level target must be positive, got {self.target}")
         n, l = self.slot
-        if n not in _FAMILY_KIND_BY_SLOT or l not in (1, 2, 3):
+        if n not in range(3, 13) or l not in (1, 2, 3):
             raise DomainError(f"bad slot {self.slot}")
-        if _FAMILY_KIND_BY_SLOT[n] != self.family.kind:
-            raise DomainError(
-                f"slot {self.slot} requires family {_FAMILY_KIND_BY_SLOT[n]}, "
-                f"got {self.family.kind}"
-            )
-        if self.family.kind == "JACOBI" and self.family.jacobi_kind != _JACOBI_KIND_BY_L[l]:
-            raise DomainError(
-                f"slot {self.slot} requires jacobi kind {_JACOBI_KIND_BY_L[l]}"
-            )
+        fam, required = self.family, FAMILIES[(n - 3) % 5]
+        if not isinstance(fam, required):
+            raise DomainError(f"slot {self.slot} requires family {required.__name__}, "
+                              f"got {type(fam).__name__}")
+        if isinstance(fam, Jacobi) and fam.kind != _JACOBI_KIND_BY_L[l]:
+            raise DomainError(f"slot {self.slot} requires jacobi kind {_JACOBI_KIND_BY_L[l]}")
 
     @property
     def generation(self) -> str:
@@ -191,150 +142,167 @@ def _scan_first_bracket(fval: Callable[[float], float], v: float,
     return None
 
 
-def _solve_cosine(v: float) -> complex:
-    if v <= 1.0:
-        return complex(math.acos(v), 0.0)
-    return complex(0.0, math.acosh(v))
+@dataclass(frozen=True, slots=True)
+class Cosine(LevelFamily):
+    def abs_value(self, s: complex) -> float:
+        return abs(cmath.cos(s))
 
+    def solve(self, v: float) -> complex:
+        if v <= 1.0:
+            return complex(math.acos(v), 0.0)
+        return complex(0.0, math.acosh(v))
 
-def _solve_power(n: int, v: float) -> complex:
-    s = v ** (1.0 / n)
-    # one multiplicative Newton step squeezes out pow() rounding
-    cur = s ** n
-    if cur > 0.0:
-        s *= (v / cur) ** (1.0 / n)
-    return complex(s, 0.0)
-
-
-def _solve_recip_gamma(v: float) -> complex:
-    if v <= _RECIP_GAMMA_RIDGE * (1.0 - 1e-12):
-        lo = min(0.5 * v, 0.5)
-        fval = lambda x: recip_gamma_abs(complex(x, 0.0))
-        while fval(lo) > v and lo > 1e-300:
-            lo *= 0.5
-        root = _bisect_on_path(fval, v, lo, _GAMMA_MIN_X)
-        if root is not None:
-            return complex(root, 0.0)
-    # vertical line: 1/|gamma(1/2+iy)| = sqrt(cosh(pi y)/pi)
-    arg = math.pi * v * v
-    if arg < 1.0:
-        raise SearchError(f"1/gamma target {v} unreachable on canonical paths")
-    y = math.acosh(arg) / math.pi
-    return complex(0.5, y)
-
-
-def _solve_bessel(p: int, v: float) -> complex:
-    p = abs(p)
-    fval = lambda x: bessel_j(p, complex(x, 0.0)).real
-    # Real axis within the validated |s| <= 50 domain: any target below
-    # the envelope crosses inside the first lobes, so no expansion.
-    root = _scan_first_bracket(fval, v, 0.0, 50.0, 400)
-    if root is not None:
-        return complex(root, 0.0)
-    # imaginary axis: |J_p(iy)| = I_p(y), increasing; capped at the
-    # validated argument domain
-    gval = lambda y: abs(bessel_j(p, complex(0.0, y)))
-    y_hi = 10.0
-    while gval(y_hi) < v:
-        y_hi *= 2.0
-        if y_hi > 60.0:
-            raise SearchError(
-                f"bessel target {v} out of reach within the validated domain"
-            )
-    root = _bisect_on_path(gval, v, 0.0, y_hi)
-    if root is None:
-        raise SearchError(f"bessel target {v} unreachable on canonical paths")
-    return complex(0.0, root)
-
-
-def _solve_jacobi(kind: str, mod: EllipticModulus, v: float) -> complex:
-    big_k, big_kp = mod.big_k, mod.big_kp
-    y_cap = big_kp - max(2.0 * POLE_EXCLUSION, 1e-9 * big_kp)
-
-    def along_real(u: float) -> float:
-        return abs(jacobi_elliptic(kind, complex(u, 0.0), mod))
-
-    def along_kvert(y: float) -> float:
-        return abs(jacobi_elliptic(kind, complex(big_k, y), mod))
-
-    def along_imag(y: float) -> float:
-        return abs(jacobi_elliptic(kind, complex(0.0, y), mod))
-
-    root = _bisect_on_path(along_real, v, 0.0, big_k)
-    if root is not None:
-        return complex(root, 0.0)
-    root = _bisect_on_path(along_kvert, v, 0.0, y_cap)
-    if root is not None:
-        return complex(big_k, root)
-    root = _bisect_on_path(along_imag, v, 0.0, y_cap)
-    if root is not None:
-        return complex(0.0, root)
-    raise SearchError(
-        f"jacobi {kind} target {v} unreachable on canonical paths (k={mod.k:.6g})"
-    )
+    def describe(self) -> str:
+        return "cosine"
 
 
 @dataclass(frozen=True, slots=True)
-class _FamilyDef:
-    """Everything that differs between families; callables take the family first."""
+class Power(LevelFamily):
+    n: int
 
-    slots: tuple[int, int]  # slot n of the first and the second generation
-    solve: Callable[[LevelFamily, float], complex]
-    from_params: Callable[[ParameterSet, int, int], LevelFamily]  # (params, idx, l)
-    abs_value: Callable[[LevelFamily, complex], float]
-    near_pole: Callable[[LevelFamily, complex], bool] = lambda f, s: False
-    describe: Callable[[LevelFamily], str] = lambda f: f.kind.lower()
+    def __post_init__(self) -> None:
+        if not (isinstance(self.n, int) and self.n >= 1):
+            raise DomainError(f"power family needs an integer n >= 1, got {self.n!r}")
+
+    def abs_value(self, s: complex) -> float:
+        return abs(s) ** self.n
+
+    def solve(self, v: float) -> complex:
+        s = v ** (1.0 / self.n)
+        # one multiplicative Newton step squeezes out pow() rounding
+        cur = s ** self.n
+        if cur > 0.0:
+            s *= (v / cur) ** (1.0 / self.n)
+        return complex(s, 0.0)
+
+    def describe(self) -> str:
+        return f"power(n={self.n})"
 
 
-_FAMILIES = {
-    "COSINE": _FamilyDef(
-        slots=(3, 8),
-        solve=lambda f, v: _solve_cosine(v),
-        from_params=lambda ps, i, l: LevelFamily.cosine(),
-        abs_value=lambda f, s: abs(cmath.cos(s)),
-    ),
-    "POWER": _FamilyDef(
-        slots=(4, 9),
-        solve=lambda f, v: _solve_power(f.n, v),
-        from_params=lambda ps, i, l: LevelFamily.power(ps.n[i]),
-        abs_value=lambda f, s: abs(s) ** f.n,
-        describe=lambda f: f"power(n={f.n})",
-    ),
-    "RECIP_GAMMA": _FamilyDef(
-        slots=(5, 10),
-        solve=lambda f, v: _solve_recip_gamma(v),
-        from_params=lambda ps, i, l: LevelFamily.recip_gamma(),
-        abs_value=lambda f, s: recip_gamma_abs(s),  # stable where gamma over/underflows
-        near_pole=lambda f, s: (round(s.real) <= 0
-                                and abs(s - round(s.real)) < POLE_EXCLUSION),
-    ),
-    "BESSEL": _FamilyDef(
-        slots=(6, 11),
-        solve=lambda f, v: _solve_bessel(f.p, v),
-        from_params=lambda ps, i, l: LevelFamily.bessel(ps.p[i]),
-        abs_value=lambda f, s: abs(bessel_j(f.p, s)),
-        describe=lambda f: f"bessel(p={f.p})",
-    ),
-    "JACOBI": _FamilyDef(
-        slots=(7, 12),
-        solve=lambda f, v: _solve_jacobi(f.jacobi_kind, f.modulus, v),
-        from_params=lambda ps, i, l: LevelFamily.jacobi(_JACOBI_KIND_BY_L[l], ps.k[i]),
-        abs_value=lambda f, s: abs(jacobi_elliptic(f.jacobi_kind, s, f.modulus)),
-        near_pole=lambda f, s: pole_distance(s, f.modulus) < POLE_EXCLUSION,
-        describe=lambda f: f"jacobi({f.jacobi_kind}, k={f.modulus.k:.6g})",
-    ),
-}
-_FAMILY_KIND_BY_SLOT = {n: kind for kind, fam in _FAMILIES.items() for n in fam.slots}
+@dataclass(frozen=True, slots=True)
+class RecipGamma(LevelFamily):
+    def abs_value(self, s: complex) -> float:
+        return recip_gamma_abs(s)  # stable where gamma over/underflows
+
+    def near_pole(self, s: complex) -> bool:
+        return round(s.real) <= 0 and abs(s - round(s.real)) < POLE_EXCLUSION
+
+    def solve(self, v: float) -> complex:
+        if v <= _RECIP_GAMMA_RIDGE * (1.0 - 1e-12):
+            lo = min(0.5 * v, 0.5)
+            fval = lambda x: recip_gamma_abs(complex(x, 0.0))
+            while fval(lo) > v and lo > 1e-300:
+                lo *= 0.5
+            root = _bisect_on_path(fval, v, lo, _GAMMA_MIN_X)
+            if root is not None:
+                return complex(root, 0.0)
+        # vertical line: 1/|gamma(1/2+iy)| = sqrt(cosh(pi y)/pi)
+        arg = math.pi * v * v
+        if arg < 1.0:
+            raise SearchError(f"1/gamma target {v} unreachable on canonical paths")
+        y = math.acosh(arg) / math.pi
+        return complex(0.5, y)
+
+    def describe(self) -> str:
+        return "recip_gamma"
+
+
+@dataclass(frozen=True, slots=True)
+class Bessel(LevelFamily):
+    p: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.p, int):
+            raise DomainError(f"bessel family needs an integer order, got {self.p!r}")
+
+    def abs_value(self, s: complex) -> float:
+        return abs(bessel_j(self.p, s))
+
+    def solve(self, v: float) -> complex:
+        p = abs(self.p)
+        fval = lambda x: bessel_j(p, complex(x, 0.0)).real
+        # Real axis within the validated |s| <= 50 domain: any target below
+        # the envelope crosses inside the first lobes, so no expansion.
+        root = _scan_first_bracket(fval, v, 0.0, 50.0, 400)
+        if root is not None:
+            return complex(root, 0.0)
+        # imaginary axis: |J_p(iy)| = I_p(y), increasing; capped at the
+        # validated argument domain
+        gval = lambda y: abs(bessel_j(p, complex(0.0, y)))
+        y_hi = 10.0
+        while gval(y_hi) < v:
+            y_hi *= 2.0
+            if y_hi > 60.0:
+                raise SearchError(
+                    f"bessel target {v} out of reach within the validated domain"
+                )
+        root = _bisect_on_path(gval, v, 0.0, y_hi)
+        if root is None:
+            raise SearchError(f"bessel target {v} unreachable on canonical paths")
+        return complex(0.0, root)
+
+    def describe(self) -> str:
+        return f"bessel(p={self.p})"
+
+
+@dataclass(frozen=True, slots=True)
+class Jacobi(LevelFamily):
+    kind: str  # "SN", "CN" or "DN"
+    modulus: EllipticModulus
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("SN", "CN", "DN") or not isinstance(self.modulus, EllipticModulus):
+            raise DomainError("jacobi family needs a kind SN, CN or DN and an "
+                              f"EllipticModulus, got {self.kind!r}, {self.modulus!r}")
+
+    def abs_value(self, s: complex) -> float:
+        return abs(jacobi_elliptic(self.kind, s, self.modulus))
+
+    def near_pole(self, s: complex) -> bool:
+        return pole_distance(s, self.modulus) < POLE_EXCLUSION
+
+    def solve(self, v: float) -> complex:
+        kind, mod = self.kind, self.modulus
+        big_k, big_kp = mod.big_k, mod.big_kp
+        y_cap = big_kp - max(2.0 * POLE_EXCLUSION, 1e-9 * big_kp)
+
+        def along_real(u: float) -> float:
+            return abs(jacobi_elliptic(kind, complex(u, 0.0), mod))
+
+        def along_kvert(y: float) -> float:
+            return abs(jacobi_elliptic(kind, complex(big_k, y), mod))
+
+        def along_imag(y: float) -> float:
+            return abs(jacobi_elliptic(kind, complex(0.0, y), mod))
+
+        root = _bisect_on_path(along_real, v, 0.0, big_k)
+        if root is not None:
+            return complex(root, 0.0)
+        root = _bisect_on_path(along_kvert, v, 0.0, y_cap)
+        if root is not None:
+            return complex(big_k, root)
+        root = _bisect_on_path(along_imag, v, 0.0, y_cap)
+        if root is not None:
+            return complex(0.0, root)
+        raise SearchError(
+            f"jacobi {kind} target {v} unreachable on canonical paths (k={mod.k:.6g})"
+        )
+
+    def describe(self) -> str:
+        return f"jacobi({self.kind}, k={self.modulus.k:.6g})"
+
+
+# the family of slot n is FAMILIES[(n - 3) % 5], in both generations
+FAMILIES = (Cosine, Power, RecipGamma, Bessel, Jacobi)
 # the two families without a parameter, shared by every slot and call
-_COSINE = LevelFamily("COSINE")
-_RECIP_GAMMA = LevelFamily("RECIP_GAMMA")
+COSINE = Cosine()
+RECIP_GAMMA = RecipGamma()
 
 
 def level_point(spec: LevelCurveSpec) -> LevelPoint:
     """Solve |F(s)| = target on the family's canonical paths and certify
     the point to RESIDUAL_TOL max(1, target), raising AccuracyError past it."""
-    fam = spec.family
-    return _certify(spec, fam._def.solve(fam, spec.target))
+    return _certify(spec, spec.family.solve(spec.target))
 
 
 # --------------------------------------------------------------------------
@@ -415,7 +383,7 @@ def trace_level_arc(spec: LevelCurveSpec, start: LevelPoint, step: float,
             if root is None:
                 break
             nxt = predicted + root * unit_grad
-            if fam.reject_near_pole(nxt):
+            if fam.near_pole(nxt):
                 break
             vertex = LevelPoint(spec=spec, s=ComplexPoint.from_complex(nxt),
                                 modulus=fam.abs_value(nxt))
@@ -438,7 +406,14 @@ def family_for_slot(n: int, l: int, params: ParameterSet) -> LevelFamily:
     """The function family attached to slot (n, l); first-generation
     slots (n <= 7) read parameter index l, second-generation l+3."""
     idx = (l - 1) if n <= 7 else (l + 2)
-    return _FAMILIES[_FAMILY_KIND_BY_SLOT[n]].from_params(params, idx, l)
+    family = FAMILIES[(n - 3) % 5]
+    if family is Power:
+        return Power(params.n[idx])
+    if family is Bessel:
+        return Bessel(params.p[idx])
+    if family is Jacobi:
+        return Jacobi(_JACOBI_KIND_BY_L[l], EllipticModulus(params.k[idx]))
+    return COSINE if family is Cosine else RECIP_GAMMA
 
 
 def spec_for_slot(slot: tuple[int, int], inst: MotherInstance,

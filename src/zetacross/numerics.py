@@ -139,8 +139,9 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
     The error target is apportioned to panels by width. The total is
     accumulated with compensated summation in interval order, so the
     result is additive over adjacent ranges to within ~2*rel_tol.
-    Once the depth cap is hit on some panel, raises AccuracyError unless
-    the error estimate is <= rel_tol max(|value|, scale); NaN fails.
+    Once a panel is accepted unconverged, at the width floor or at the
+    depth cap, raises AccuracyError unless the error estimate is
+    <= rel_tol max(|value|, scale); NaN fails.
     """
     if b == a:
         return 0.0
@@ -158,27 +159,25 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
     width = b - a
     accepted: list[float] = []
     err_total = 0.0
-    depth_hit = False
+    stop = None  # what accepted the last unconverged panel, if one was
     # Explicit stack, rightmost pushed first so processing is left-to-right.
     stack: list[tuple[float, float, int]] = [(a, b, 0)]
     while stack:
         lo, hi, depth = stack.pop()
         v, err = gk15_panel(f, lo, hi)
-        tol_local = rel_tol * scale * ((hi - lo) / width)
-        if err <= tol_local or hi - lo <= abs(lo) * 1e-15 + 1e-300:
+        converged = err <= rel_tol * scale * ((hi - lo) / width)
+        at_floor = hi - lo <= abs(lo) * 1e-15 + 1e-300
+        if converged or at_floor or depth >= max_depth:
             accepted.append(v)
             err_total += err
-            continue
-        if depth >= max_depth:
-            accepted.append(v)
-            err_total += err
-            depth_hit = True
+            if not converged:
+                stop = "width floor" if at_floor else "depth cap"
             continue
         mid = 0.5 * (lo + hi)
         stack.append((mid, hi, depth + 1))
         stack.append((lo, mid, depth + 1))
     value = neumaier_sum(accepted)
-    if depth_hit:
+    if stop:
         gate(err_total, rel_tol * max(abs(value), scale), "quadrature",
-             lambda: f"quadrature depth cap reached; error estimate {err_total:.3e}")
+             lambda: f"quadrature {stop} reached; error estimate {err_total:.3e}")
     return value

@@ -22,7 +22,7 @@ from zetacross.harness import (
     run,
     write_report,
 )
-from zetacross.levelset import LevelFamily
+from zetacross.levelset import Cosine
 from zetacross.params import ParameterSet
 
 
@@ -254,8 +254,8 @@ def test_a_failed_crossbreed_is_its_window_error(monkeypatch):
 def test_a_failed_level_point_names_its_slot_in_the_header(monkeypatch):
     # every modulus 1e-6 high fails the first slot's level gate; the
     # error text is unchanged, and the header names stage, slot and bound
-    real = LevelFamily.abs_value
-    monkeypatch.setattr(LevelFamily, "abs_value", lambda self, s: real(self, s) * (1.0 + 1e-6))
+    real = Cosine.abs_value
+    monkeypatch.setattr(Cosine, "abs_value", lambda self, s: real(self, s) * (1.0 + 1e-6))
     report = run(RunConfig(L_list=(20,)))
     entry = report["payload"]["runs"][0]
     assert entry["error"] == ("AccuracyError: slot (n=3, l=1): level residual 2.446e-07 "
@@ -306,6 +306,18 @@ def test_atlas_files_certified(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) >= 2
     assert all(float(r["residual"]) <= 1e-9 for r in rows)
+
+
+def test_atlas_listing_pinned(tmp_path):
+    # byte-identity of one atlas file per family and generation: the names
+    # and bytes of the written files, in sorted order
+    slots = [(3, 1), (4, 1), (5, 2), (6, 1), (7, 1), (8, 2), (9, 3), (10, 1), (11, 2), (12, 3)]
+    written, warnings = emit_atlas(RunConfig(L_list=(20,)), slots, tmp_path, count=60)
+    assert warnings == [] and len(written) == len(slots)
+    digest = hashlib.sha256()
+    for path in sorted(written):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == "adce59f3fb1d3f124d03de01e3aadfd3edd0c6dc54c8a249ae88a88232ab7609"
 
 
 def test_default_config_full_run():

@@ -9,42 +9,50 @@ from zetacross.critline import LadderModel, build_mother_instance, gen1_target
 from zetacross.errors import AccuracyError, DomainError, SearchError
 from zetacross.levelset import (
     ALL_SLOTS,
+    COSINE,
+    RECIP_GAMMA,
+    Bessel,
+    Cosine,
+    Jacobi,
     LevelCurveSpec,
-    LevelFamily,
     LevelPoint,
+    Power,
+    RecipGamma,
     build_level_assignments,
     family_for_slot,
     level_point,
     trace_level_arc,
 )
 from zetacross.params import DEFAULT_PARAMS, SplitMix64, draw_parameter_set
-from zetacross.specfun import ComplexPoint, bessel_j, elliptic_k, jacobi_elliptic
+from zetacross.specfun import ComplexPoint, EllipticModulus, bessel_j, elliptic_k, jacobi_elliptic
+
+
+# the second-generation slot n of each family class
+SLOT_BY_CLASS = {Cosine: 8, Power: 9, RecipGamma: 10, Bessel: 11, Jacobi: 12}
 
 
 def _spec(family, v):
-    slot_by_kind = {"COSINE": 8, "POWER": 9, "RECIP_GAMMA": 10,
-                    "BESSEL": 11, "JACOBI": 12}
-    l = {"SN": 1, "CN": 2, "DN": 3}.get(family.jacobi_kind or "SN", 1)
-    return LevelCurveSpec(family, v, (slot_by_kind[family.kind], l))
+    l = {"SN": 1, "CN": 2, "DN": 3}[family.kind] if isinstance(family, Jacobi) else 1
+    return LevelCurveSpec(family, v, (SLOT_BY_CLASS[type(family)], l))
 
 
 def test_power_closed_form():
-    p = level_point(_spec(LevelFamily.power(2), 4.0))
+    p = level_point(_spec(Power(2), 4.0))
     assert p.s.re == pytest.approx(2.0, abs=1e-15)
     assert p.s.im == 0.0
     assert p.residual <= 1e-10 * 4.0
 
 
 def test_cosine_values():
-    p = level_point(_spec(LevelFamily.cosine(), 1.0))
+    p = level_point(_spec(COSINE, 1.0))
     assert (p.s.re, p.s.im) == (0.0, 0.0)
-    p = level_point(_spec(LevelFamily.cosine(), 1.5430806348152437))  # cosh 1
+    p = level_point(_spec(COSINE, 1.5430806348152437))  # cosh 1
     assert p.s.re == 0.0
     assert p.s.im == pytest.approx(1.0, rel=1e-12)
 
 
 def test_recip_gamma_unit_target_on_real_axis():
-    p = level_point(_spec(LevelFamily.recip_gamma(), 1.0))
+    p = level_point(_spec(RECIP_GAMMA, 1.0))
     assert p.s.im == 0.0
     assert p.s.re == pytest.approx(1.0, rel=1e-9)
 
@@ -53,14 +61,14 @@ def test_bessel_small_target_before_first_zero():
     # |J_0| dips below a small v only in a narrow window around each zero;
     # the signed real-axis scan brackets it just left of j_{0,1} = 2.404826
     for v, x in ((1.3564e-4, 2.404564), (3.13e-3, 2.398804)):
-        pt = level_point(_spec(LevelFamily.bessel(0), v))
+        pt = level_point(_spec(Bessel(0), v))
         assert pt.s.im == 0.0
         assert pt.s.re == pytest.approx(x, abs=1e-6)
         assert pt.residual <= 1e-10
 
 
 def test_jacobi_sn_half():
-    fam = LevelFamily.jacobi("SN", 0.5)
+    fam = Jacobi("SN", EllipticModulus(0.5))
     p = level_point(LevelCurveSpec(fam, 0.5, (12, 1)))
     assert p.s.im == 0.0
     assert 0.0 < p.s.re < elliptic_k(0.5)
@@ -70,13 +78,28 @@ def test_jacobi_sn_half():
 
 def test_spec_slot_validation():
     with pytest.raises(DomainError):
-        LevelCurveSpec(LevelFamily.cosine(), 1.0, (9, 1))  # wrong family
+        LevelCurveSpec(COSINE, 1.0, (9, 1))  # wrong family
     with pytest.raises(DomainError):
-        LevelCurveSpec(LevelFamily.cosine(), -1.0, (8, 1))  # bad target
+        LevelCurveSpec(COSINE, -1.0, (8, 1))  # bad target
     with pytest.raises(DomainError):
-        LevelCurveSpec(LevelFamily.jacobi("SN", 0.5), 1.0, (12, 2))
+        LevelCurveSpec(Jacobi("SN", EllipticModulus(0.5)), 1.0, (12, 2))
     with pytest.raises(DomainError):
-        LevelFamily.bessel(1.5)  # Bessel orders are integers
+        Bessel(1.5)  # Bessel orders are integers
+    with pytest.raises(DomainError):
+        Power(2.5)  # power exponents are integers
+    with pytest.raises(DomainError):
+        Power(0)
+    with pytest.raises(DomainError):
+        Jacobi("XN", EllipticModulus(0.5))
+    # every slot takes exactly its own family class, in both generations
+    families = (COSINE, Power(2), RECIP_GAMMA, Bessel(1), Jacobi("SN", EllipticModulus(0.5)))
+    for n in range(3, 13):
+        for fam in families:
+            if SLOT_BY_CLASS[type(fam)] in (n, n + 5):
+                assert LevelCurveSpec(fam, 1.0, (n, 1)).family is fam
+            else:
+                with pytest.raises(DomainError):
+                    LevelCurveSpec(fam, 1.0, (n, 1))
 
 
 def test_existence_coverage_log_uniform():
@@ -86,13 +109,13 @@ def test_existence_coverage_log_uniform():
     gen = SplitMix64(2718281828)
     big_k = elliptic_k(0.6)
     families = [
-        (LevelFamily.cosine(), (0.0,)),
-        (LevelFamily.power(3), ()),
-        (LevelFamily.recip_gamma(), (0.5,)),
-        (LevelFamily.bessel(1), (0.0,)),
-        (LevelFamily.jacobi("SN", 0.6), (0.0, big_k)),
-        (LevelFamily.jacobi("CN", 0.6), (0.0, big_k)),
-        (LevelFamily.jacobi("DN", 0.6), (0.0, big_k)),
+        (COSINE, (0.0,)),
+        (Power(3), ()),
+        (RECIP_GAMMA, (0.5,)),
+        (Bessel(1), (0.0,)),
+        (Jacobi("SN", EllipticModulus(0.6)), (0.0, big_k)),
+        (Jacobi("CN", EllipticModulus(0.6)), (0.0, big_k)),
+        (Jacobi("DN", EllipticModulus(0.6)), (0.0, big_k)),
     ]
     for fam, vertical_lines in families:
         solved = 0
@@ -112,7 +135,7 @@ def test_existence_coverage_log_uniform():
 
 
 def test_trace_power_circle():
-    fam = LevelFamily.power(1)
+    fam = Power(1)
     spec = _spec(fam, 2.0)
     start = level_point(spec)
     arc = trace_level_arc(spec, start, 0.05, 100)
@@ -122,7 +145,7 @@ def test_trace_power_circle():
 
 
 def test_trace_cosine_from_saddle():
-    spec = _spec(LevelFamily.cosine(), 1.0)
+    spec = _spec(COSINE, 1.0)
     start = level_point(spec)
     arc = trace_level_arc(spec, start, 0.02, 30)
     assert len(arc) == 30
@@ -131,7 +154,7 @@ def test_trace_cosine_from_saddle():
 
 
 def test_trace_count_zero_and_step_validation():
-    spec = _spec(LevelFamily.power(1), 2.0)
+    spec = _spec(Power(1), 2.0)
     start = level_point(spec)
     assert trace_level_arc(spec, start, 0.05, 0) == []
     with pytest.raises(DomainError):
@@ -144,7 +167,7 @@ def test_trace_bessel_ends_at_the_domain_edge():
     # as at a pole exclusion, instead of raising
     x0 = 48.8
     v = abs(bessel_j(0, x0))
-    spec = _spec(LevelFamily.bessel(0), v)
+    spec = _spec(Bessel(0), v)
     start = LevelPoint(spec=spec, s=ComplexPoint(x0, 0.0), modulus=v)
     arc = trace_level_arc(spec, start, 0.05, 200)
     assert 10 < len(arc) < 200
@@ -199,7 +222,7 @@ def test_assignment_error_keeps_the_gate_type(monkeypatch):
     # a level point that fails its residual gate stays an AccuracyError,
     # with its slot and its achieved value
     inst = build_mother_instance(math.pi / 8, 50, LadderModel("ASYMPTOTIC"), "EXACT")
-    monkeypatch.setattr(LevelFamily, "abs_value", lambda self, s: math.nan)
+    monkeypatch.setattr(Cosine, "abs_value", lambda self, s: math.nan)
     with pytest.raises(AccuracyError, match=r"slot \(n=3, l=1\)") as err:
         build_level_assignments(inst, DEFAULT_PARAMS)
     assert math.isnan(err.value.achieved)
@@ -209,8 +232,8 @@ def test_assignment_error_keeps_the_gate_type(monkeypatch):
 
 
 def test_level_residual_gate_rejects_nan(monkeypatch):
-    monkeypatch.setattr(LevelFamily, "abs_value", lambda self, s: math.nan)
+    monkeypatch.setattr(Power, "abs_value", lambda self, s: math.nan)
     with pytest.raises(AccuracyError) as err:
-        level_point(_spec(LevelFamily.power(2), 4.0))
+        level_point(_spec(Power(2), 4.0))
     assert math.isnan(err.value.achieved)
     assert (err.value.bound, err.value.stage, err.value.slot) == (4e-10, "level", (9, 1))

@@ -11,7 +11,7 @@ from zetacross import levelset
 from zetacross.critline import LadderModel, base_segment, build_mother_instance
 from zetacross.equations import CROSSBREED_PAIRS, make_transmutation, second_generation
 from zetacross.harness import RunConfig
-from zetacross.levelset import _FAMILIES, ALL_SLOTS, LevelFamily, build_level_assignments
+from zetacross.levelset import ALL_SLOTS, COSINE, RECIP_GAMMA, build_level_assignments
 from zetacross.params import DEFAULT_PARAMS
 from zetacross.specfun import bessel_j
 
@@ -26,7 +26,7 @@ def test_value_types_have_no_instance_dict(inst):
     point = assign.points[(12, 1)]
     values = [
         base_segment(math.pi / 8, 100), inst.model, inst, DEFAULT_PARAMS,
-        RunConfig(), point.spec.family, point.spec, point, _FAMILIES["JACOBI"],
+        RunConfig(), point.spec.family, point.spec, point, assign.points[(11, 1)].spec.family,
         assign, point.s, point.spec.family.modulus,
         make_transmutation("T1", inst, assign), second_generation(inst, assign)[0],
     ]
@@ -43,7 +43,7 @@ def test_slots_families_and_pairs_are_shared(inst):
     for assign in (first, second):
         for slot, key in zip(ALL_SLOTS, assign.points):
             assert key is slot and assign.points[key].spec.slot is slot
-        for n, fam in ((3, LevelFamily.cosine()), (5, LevelFamily.recip_gamma())):
+        for n, fam in ((3, COSINE), (5, RECIP_GAMMA)):
             for l in (1, 2, 3):
                 assert assign.points[(n, l)].spec.family is fam
                 assert assign.points[(n + 5, l)].spec.family is fam

@@ -126,3 +126,19 @@ def test_adaptive_quadrature_depth_cap_rejects_nan():
         adaptive_quadrature(f, 0.0, 1.0, 1e-11)
     assert math.isnan(exc.value.achieved)
     assert exc.value.stage == "quadrature"
+
+
+def test_adaptive_quadrature_width_floor_rejects_nan():
+    # near x = 63 the panels at the kink reach the width floor near depth
+    # 44, before the depth cap; NaN on [63.3, 63.3 + 1e-13] is seen only by
+    # those panels, so the floor accepts a NaN panel: the mean must fail
+    # the gate, not return NaN. Without the NaN the kink still converges.
+    def f(x):
+        return math.nan if 63.3 <= x <= 63.3 + 1e-13 else math.sqrt(abs(x - 63.3))
+
+    with pytest.raises(AccuracyError, match="width floor") as exc:
+        adaptive_quadrature(f, 63.0, 64.0, 1e-11)
+    assert math.isnan(exc.value.achieved)
+    assert exc.value.stage == "quadrature"
+    kink = adaptive_quadrature(lambda x: math.sqrt(abs(x - 63.3)), 63.0, 64.0, 1e-11)
+    assert kink == 0.49998585721693595

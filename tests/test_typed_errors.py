@@ -8,7 +8,7 @@ from zetacross.errors import ZetacrossError
 from zetacross.levelset import (
     ALL_SLOTS,
     LevelCurveSpec,
-    LevelFamily,
+    Power,
     family_for_slot,
     level_point,
     trace_level_arc,
@@ -62,7 +62,7 @@ def test_special_functions_raise_only_typed_errors(p, z, k):
 @settings(max_examples=100, deadline=None, database=None)
 @given(spec=_SPECS, step=st.floats(1.001e-4, 0.099), count=st.integers(0, 12))
 @example(  # a step below the float spacing at |s| = 1e16 leaves s unchanged
-    spec=LevelCurveSpec(LevelFamily.power(1), 1e16, (4, 1)), step=0.09, count=5)
+    spec=LevelCurveSpec(Power(1), 1e16, (4, 1)), step=0.09, count=5)
 def test_level_points_and_arcs_raise_only_typed_errors(spec, step, count):
     start = _returns_or_raises_typed(level_point, spec)
     if start is not None:
