@@ -33,6 +33,7 @@ from .levelset import (ALL_SLOTS, RESIDUAL_TOL, LevelAssignment, LevelPoint, Pow
                        trace_level_arc)
 from .params import DEFAULT_PARAMS, ParameterSet
 from .specfun import ComplexPoint
+from .specfun.zeta import Z_VALIDATED_T
 
 SCHEMA_VERSION = 2
 
@@ -77,9 +78,14 @@ class RunConfig:
             raise ConfigError(f"U must lie in (0, pi/4), got {self.U}")
         if not self.L_list:
             raise ConfigError("L_list must not be empty")
+        top = self.ladder.value(Z_VALIDATED_T)  # phi1 increases, so this caps pi L + U
         for L in self.L_list:
             if not isinstance(L, int) or L < L_MIN:
                 raise ConfigError(f"every L must be an integer >= {L_MIN}, got {L}")
+            if L > top or math.pi * L + self.U > top:  # L > top: no float overflow in pi L
+                raise ConfigError(f"L = {L} lifts past Z's validated t <= {Z_VALIDATED_T:g}")
+        if len(set(self.L_list)) != len(self.L_list):
+            raise ConfigError(f"every L must appear once, got {self.L_list}")
 
 
 def _ints(val: str) -> tuple[int, ...]:

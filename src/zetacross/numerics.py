@@ -1,8 +1,5 @@
-"""Shared numerical kernels: compensated summation, Bernoulli numbers,
-bracketed root finding, and adaptive Gauss-Kronrod quadrature.
-
-Compensated sums are one `neumaier_sum` over a list of terms: a caller
-collects its terms in order and sums them once.
+"""Shared numerical kernels: Bernoulli numbers, bracketed root finding,
+and adaptive Gauss-Kronrod quadrature.
 
 All routines are deterministic: fixed splitting orders, fixed iteration
 caps, no randomness. Identical inputs give bit-identical outputs.
@@ -12,26 +9,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import SearchError, gate
-
-
-# --------------------------------------------------------------------------
-# Compensated (Neumaier) summation
-# --------------------------------------------------------------------------
-
-def neumaier_sum(values: Iterable[float]) -> float:
-    """Compensated sum of values in order; error O(eps^2) relative per term."""
-    s = c = 0.0
-    for x in values:
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-    return s + c
 
 
 # --------------------------------------------------------------------------
@@ -121,14 +101,22 @@ _WG = (
 )
 
 
+def _fsum(terms: list[float]) -> float:
+    """math.fsum, or NaN where it raises on an intermediate overflow or inf - inf."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
 def gk15_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """One G7/K15 panel over [a, b]: returns (K15 value, error estimate)."""
     h = 0.5 * (b - a)
     c = 0.5 * (a + b)
     fc = f(c)
     sym = [f(c + x) + f(c - x) for x in (h * xk for xk in _XGK[:7])]
-    k15 = neumaier_sum([_WGK[7] * fc] + [w * v for w, v in zip(_WGK, sym)]) * h
-    g7 = neumaier_sum([_WG[3] * fc] + [w * v for w, v in zip(_WG, sym[1::2])]) * h
+    k15 = _fsum([_WGK[7] * fc] + [w * v for w, v in zip(_WGK, sym)]) * h
+    g7 = _fsum([_WG[3] * fc] + [w * v for w, v in zip(_WG, sym[1::2])]) * h
     return k15, abs(k15 - g7)
 
 
@@ -136,9 +124,8 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
                         rel_tol: float, max_depth: int = 50) -> float:
     """Adaptive bisection with G7/K15 panels, deterministic left-to-right.
 
-    The error target is apportioned to panels by width. The total is
-    accumulated with compensated summation in interval order, so the
-    result is additive over adjacent ranges to within ~2*rel_tol.
+    The error target is apportioned to panels by width. The total, an
+    exactly rounded sum, is additive over adjacent ranges to ~2*rel_tol.
     Once a panel is accepted unconverged, at the width floor or at the
     depth cap, raises AccuracyError unless the error estimate is
     <= rel_tol max(|value|, scale); NaN fails.
@@ -176,7 +163,7 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
         mid = 0.5 * (lo + hi)
         stack.append((mid, hi, depth + 1))
         stack.append((lo, mid, depth + 1))
-    value = neumaier_sum(accepted)
+    value = _fsum(accepted)
     if stop:
         gate(err_total, rel_tol * max(abs(value), scale), "quadrature",
              lambda: f"quadrature {stop} reached; error estimate {err_total:.3e}")

@@ -1,7 +1,7 @@
 """Integer-order Bessel J of complex argument.
 
-Small arguments use the ascending power series with compensated
-summation; larger ones a Miller-style backward recurrence, normalized
+Small arguments sum the ascending power series with math.fsum;
+larger ones a Miller-style backward recurrence, normalized
 against the series evaluated at a safe high order where its terms are
 monotone-dominated and cancellation-free.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 from ..errors import AccuracyError, DomainError
-from ..numerics import neumaier_sum
 from .types import as_complex
 
 _SERIES_RADIUS = 8.0
@@ -36,7 +35,7 @@ def _series(p: int, s: complex) -> complex:
         acc_scale = max(acc_scale, mag)
         if mag < 1e-19 * acc_scale:
             break
-    return complex(neumaier_sum(re), neumaier_sum(im))
+    return complex(math.fsum(re), math.fsum(im))
 
 
 def _miller(p: int, s: complex) -> complex:

@@ -5,7 +5,7 @@ Two regimes share the exact rotation angle theta(t) = Im log-gamma(1/4
 
 * t below the switchover: zeta(1/2 + it) by Euler-Maclaurin with the
   Bernoulli tail truncated at its smallest term, rotated into Z.
-* t above: Riemann-Siegel main sum (compensated summation) plus the
+* t above: Riemann-Siegel main sum (exactly rounded) plus the
   first five remainder corrections, whose coefficient functions are
   derivatives of psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p).
   psi is entire; its Taylor series about p = 1/2 is generated once by
@@ -25,13 +25,15 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from ..numerics import even_bernoulli, neumaier_sum
+from ..numerics import even_bernoulli
 from .gammafn import log_gamma_complex
 
 RS_SWITCHOVER = 2000.0
 # just below t = 2.864e14, where one ulp of the Riemann-Siegel phase t log N
 # reaches 1 rad, so no bit of it is correct: a float limit, not a validated domain
 Z_T_MAX = 2.86e14
+# the top height test_riemann_siegel_against_mpmath checks; RunConfig keeps runs below it
+Z_VALIDATED_T = 33000.0
 
 _TWO_PI = 2.0 * math.pi
 _LOG_PI = math.log(math.pi)
@@ -228,8 +230,8 @@ def hardy_z_rs(t: float) -> float:
     big_n = int(tau)
     p = tau - big_n
     theta = rs_theta(t)
-    main = 2.0 * neumaier_sum([math.cos(theta - t * math.log(n)) / math.sqrt(n)
-                               for n in range(1, big_n + 1)])
+    main = 2.0 * math.fsum([math.cos(theta - t * math.log(n)) / math.sqrt(n)
+                            for n in range(1, big_n + 1)])
     rem = _rs_correction(p, 1.0 / tau) / math.sqrt(tau)
     if big_n % 2 == 0:
         rem = -rem

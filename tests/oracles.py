@@ -6,9 +6,8 @@ former Bernoulli recurrence as an exact reference), an asymptotic-series
 rotation angle, direct series for the Bessel zero bracket, plain AGM
 for the elliptic quarter period (and the package's former AGM loop and
 Jacobi path as bit-for-bit references), random triples for the generic
-elimination identity, and the package's former running compensated sum
-and sequential splitmix64 skip as bit-for-bit references. Keep them
-boring.
+elimination identity, and the package's former sequential splitmix64
+skip as a bit-for-bit reference. Keep them boring.
 """
 
 from __future__ import annotations
@@ -41,29 +40,6 @@ def bernoulli_reference(n: int) -> list[Fraction]:
             binom = binom * (m + 1 - j) // (j + 1)
         b.append(-acc / (m + 1))
     return b
-
-
-class NeumaierSum:
-    """Running compensated sum, added to one value at a time:
-    neumaier_sum must give its value bit for bit."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s + self.c
 
 
 def draw_reference(seed: int, index: int) -> tuple[tuple, tuple, tuple]:

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,29 @@ def test_config_validation():
             parse_config(line + "\n")
     with pytest.raises(ConfigError):
         build_mother_instance(math.pi / 8, 20, LadderModel(), "ASYMPTOTIC")
+
+
+def test_repeated_L_rejected(tmp_path):
+    # a repeated L would run its window twice under one timing and failure key
+    with pytest.raises(ConfigError, match="every L must appear once"):
+        RunConfig(L_list=(20, 100, 20))
+    assert cli_main(["verify", "--L", "20,20", "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_windows_lifted_above_the_validated_height_rejected(tmp_path):
+    # the lifted window must end at or below Z_VALIDATED_T = 33,000: the
+    # asymptotic ladder admits L <= 10,077 at U = pi/8, and the affine
+    # ladder's delta is capped through the same height
+    RunConfig(L_list=(10000, 10077))
+    for config in ({"L_list": (10078,)}, {"L_list": (10 ** 400,)},
+                   {"L_list": (20,), "ladder": LadderModel("AFFINE", 1e6)}):
+        with pytest.raises(ConfigError, match="lifts past Z's validated t <= 33000"):
+            RunConfig(**config)
+    out = tmp_path / "r.json"
+    for argv in (["--L", "10100"], ["--L", "20", "--ladder", "affine:1e6"]):
+        start = time.perf_counter()
+        assert cli_main(["verify", *argv, "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
 
 
 # each key's good value forms, then bad ones; arbitrary text is tried too,

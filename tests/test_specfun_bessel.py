@@ -1,6 +1,7 @@
 """Bessel J of integer order: series/recurrence regimes and identities."""
 
 import cmath
+import hashlib
 import math
 import random
 
@@ -73,6 +74,21 @@ def test_recurrence_range_exhausted_is_typed():
 def test_deterministic():
     s = 11.0 + 4.0j
     assert bessel_j(4, s) == bessel_j(4, s)
+
+
+def test_bessel_bit_identical_pinned():
+    # float.hex of J_p at every 25th point of the level solver's real-axis
+    # grid on [0, 50] and at complex points in the series (|s| <= 8) and
+    # Miller (8 < |s| <= 50) regimes
+    points = [complex(50.0 * i / 400, 0.0) for i in range(0, 401, 25)]
+    points += [1 + 2j, -3.5 + 0.5j, 0.3 - 7.2j, 5 + 5j,
+               6 + 6j, 12j, -20 + 11j, 3 - 42j, 35 + 35j]
+    digest = hashlib.sha256()
+    for p in (0, 1, 2, 3, -2):
+        for s in points:
+            v = bessel_j(p, s)
+            digest.update(f"{p} {s!r} {v.real.hex()} {v.imag.hex()}\n".encode())
+    assert digest.hexdigest() == "7a1925959f9dcc407e5db99ae497bb2647d8270545cc398a740f6b7c05d47ed9"
 
 
 def test_bessel_on_the_level_solver_paths_against_mpmath():
